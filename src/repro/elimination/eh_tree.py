@@ -95,6 +95,7 @@ class EHTree:
             )
             order.append(update)
 
+        position = {update: index for index, update in enumerate(order)}
         relation_by_child: dict[Update, list] = {}
         for relation in analysis.relations:
             if relation.eliminated in nodes and relation.eliminator in nodes:
@@ -113,7 +114,7 @@ class EHTree:
                 key=lambda relation: (
                     relation.type is not EliminationType.CROSS_GRAPH,
                     len(nodes[relation.eliminator].node_set),
-                    -order.index(relation.eliminator),
+                    -position[relation.eliminator],
                 ),
             )
             parent_node = nodes[best.eliminator]

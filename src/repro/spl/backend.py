@@ -20,7 +20,14 @@ Two backends ship with the repository:
     stored, mirroring the paper's observation that social graphs produce
     many infinite entries.  Memory is O(finite entries); every kernel is
     a pure-Python loop, so per-entry interpreter overhead dominates on
-    dense update streams.
+    dense update streams.  The single-edge kernels therefore scan only
+    the pairs the edge ``u -> v`` can change: sources ``x`` whose
+    distance to ``v`` the edge shortens (insertion) or realises
+    (deletion), times targets ``y`` likewise seen from ``u`` — the
+    classic pruning of incremental all-pairs shortest paths (Ausiello
+    et al.; Ramalingam & Reps).  By the triangle inequality no pair
+    outside that product can qualify, including on a horizon-clipped
+    matrix, where every bound involved stays within the horizon.
 
 ``dense`` (:class:`~repro.spl.dense.DenseSLenBackend`)
     A blocked ``int32`` NumPy layout: the all-pairs matrix is a grid of
@@ -40,9 +47,10 @@ Two backends ship with the repository:
     and sparse whenever :mod:`numpy` is unavailable.
 
 The abstract base class provides *generic* kernel implementations in
-terms of the storage primitives; they are exactly the pre-refactor
-pure-Python algorithms, so a backend only needs to implement storage to
-be correct, and overrides kernels only to be fast.
+terms of the storage primitives; they return exactly what the
+pre-refactor pure-Python full scans returned, so a backend only needs
+to implement storage to be correct, and overrides kernels only to be
+fast.
 """
 
 from __future__ import annotations
@@ -236,19 +244,47 @@ class SLenBackend(abc.ABC):
 
         Mutates the matrix in place and returns the changed pairs as
         ``{(x, y): (old, new)}``.
+
+        Only sources ``S`` x targets ``T`` are scanned, where (writing
+        ``u -> v`` for the edge, ``d`` for the pre-insertion matrix and
+        ``h`` for the horizon)::
+
+            T = {y : 1 + d(v, y) < d(u, y) and 1 + d(v, y) <= h}
+            S = {x : d(x, u) + 1 < d(x, v)}
+
+        If ``(x, y)`` improves, its candidate ``c = d(x, u) + 1 + d(v, y)``
+        satisfies ``c <= h`` and ``c < d(x, y)``.  Were ``d(u, y) <= 1 +
+        d(v, y)``, the path through ``u`` would give ``d(x, y) <= c``;
+        were ``d(x, v) <= d(x, u) + 1``, the path through ``v`` would.
+        Both bounds are at most ``h``, so they hold on the horizon-clipped
+        matrix too, which every caller hands in exact (each stored entry
+        is the true distance, absent entries lie beyond the horizon).
+        ``T`` is computed first, and an empty ``T`` returns before
+        ``column(u)`` is built.  Pairs are visited in column-then-row
+        order, so the result and its key order equal a full scan of
+        ``column(u) x row(v)``.
         """
+        row_source = self.row_view(source)
+        horizon = self.horizon
+        improvable = [
+            (y, dist_from_target + 1)
+            for y, dist_from_target in self.row_view(target).items()
+            if dist_from_target + 1 <= horizon
+            and dist_from_target + 1 < row_source.get(y, INF)
+        ]
         changed: dict[Pair, Change] = {}
+        if not improvable:
+            return changed
         sources_into = self.column(source)
         sources_into[source] = 0
-        targets_out = dict(self.row_view(target))
-        horizon = self.horizon
         for x, dist_to_source in sources_into.items():
             row_x = self.row_view(x)
-            base = dist_to_source + 1
-            for y, dist_from_target in targets_out.items():
+            if dist_to_source + 1 >= row_x.get(target, INF):
+                continue
+            for y, tail in improvable:
                 if x == y:
                     continue
-                candidate = base + dist_from_target
+                candidate = dist_to_source + tail
                 if candidate > horizon:
                     continue
                 current = row_x.get(y, INF)
@@ -266,18 +302,40 @@ class SLenBackend(abc.ABC):
         used the edge, i.e. ``d(x, y) == d(x, source) + 1 + d(target, y)``
         (pre-deletion distances).  Returns ``{x: {y, ...}}`` with only
         non-empty target sets.
+
+        Only sources ``S`` x targets ``T`` are scanned (``u -> v`` the
+        edge, ``d`` the pre-deletion matrix)::
+
+            T = {y : d(u, y) == 1 + d(v, y)}
+            S = {x : d(x, v) == d(x, u) + 1}
+
+        If ``(x, y)`` is affected, the triangle inequality through ``u``
+        gives ``d(u, y) >= 1 + d(v, y)`` and the edge itself gives ``<=``;
+        symmetrically for ``d(x, v)``.  Both sides are at most ``d(x, y)``,
+        so the equalities hold on the horizon-clipped matrix as well.  An
+        empty ``T`` returns before ``column(u)`` is built; sources keep
+        column order and each target set is built in row order, so the
+        result equals a full scan of ``column(u) x row(v)``.
         """
+        row_source = self.row_view(source)
+        through_edge = [
+            (y, dist_from_target + 1)
+            for y, dist_from_target in self.row_view(target).items()
+            if row_source.get(y) == dist_from_target + 1
+        ]
+        affected: dict[NodeId, set[NodeId]] = {}
+        if not through_edge:
+            return affected
         column_source = self.column(source)
         column_source[source] = 0
-        row_target = dict(self.row_view(target))
-        affected: dict[NodeId, set[NodeId]] = {}
         for x, dist_to_source in column_source.items():
             row_x = self.row_view(x)
-            base = dist_to_source + 1
+            if row_x.get(target) != dist_to_source + 1:
+                continue
             targets = {
                 y
-                for y, dist_from_target in row_target.items()
-                if x != y and row_x.get(y) == base + dist_from_target
+                for y, tail in through_edge
+                if x != y and row_x.get(y) == dist_to_source + tail
             }
             if targets:
                 affected[x] = targets

@@ -13,7 +13,7 @@ from repro.elimination.detector import (
 from repro.elimination.eh_tree import EHTree
 from repro.elimination.relations import EliminationRelation, EliminationType
 from repro.graph.updates import insert_data_edge, insert_pattern_edge
-from repro.matching.affected import affected_set_from_delta
+from repro.matching.affected import AffectedSet, affected_set_from_delta
 from repro.matching.candidates import candidate_set
 from repro.matching.gpnm import gpnm_query
 from repro.spl.incremental import update_slen
@@ -128,6 +128,32 @@ class TestEHTree:
         assert tree.root_updates() == updates
         assert tree.number_of_eliminated == 0
         assert tree.node(names["UD1"]).is_root
+
+    @pytest.mark.parametrize("first", ("a", "b"))
+    def test_equal_size_tie_goes_to_earlier_arrival(self, first):
+        """Two single-graph eliminators with equal node-set sizes: the one
+        that arrived first becomes the parent, whatever the relation order."""
+        updates = {
+            "a": insert_data_edge("a1", "a2"),
+            "b": insert_data_edge("b1", "b2"),
+            "c": insert_data_edge("c1", "c2"),
+        }
+        analysis = EliminationAnalysis(
+            affected_sets=[
+                AffectedSet(updates["a"], frozenset({1, 2, 3})),
+                AffectedSet(updates["b"], frozenset({4, 5, 6})),
+                AffectedSet(updates["c"], frozenset({1})),
+            ],
+            relations=[
+                EliminationRelation(updates[key], updates["c"], EliminationType.SINGLE_DATA)
+                for key in ("b", "a")
+            ],
+        )
+        second = "b" if first == "a" else "a"
+        arrival = [updates[first], updates[second], updates["c"]]
+        tree = EHTree.build(analysis, arrival)
+        assert tree.parent_of(updates["c"]) == updates[first]
+        assert tree.root_updates() == [updates[first], updates[second]]
 
     def test_duplicate_updates_collapse(self, example_state):
         names, *_rest = example_state

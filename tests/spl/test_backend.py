@@ -8,11 +8,15 @@ a coalesced batch, with the per-update deltas matching pair-for-pair.
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from repro.batching.coalesce import coalesce_slen
 from repro.batching.compiler import compile_batch
 from repro.graph.updates import (
+    EdgeInsertion,
+    NodeInsertion,
     delete_data_edge,
     delete_data_node,
     insert_data_edge,
@@ -647,3 +651,207 @@ class TestDenseStructure:
         update_slen(sparse, graph, removal)
         update_slen(dense, graph, removal)
         assert dense == sparse == SLenMatrix.from_graph(graph)
+
+
+def full_scan_relax(backend, source, target):
+    """Reference insertion relaxation over every ``column(u) x row(v)`` pair."""
+    changed = {}
+    sources_into = backend.column(source)
+    sources_into[source] = 0
+    targets_out = dict(backend.row_view(target))
+    for x, dist_to_source in sources_into.items():
+        row_x = backend.row_view(x)
+        for y, dist_from_target in targets_out.items():
+            if x == y:
+                continue
+            candidate = dist_to_source + 1 + dist_from_target
+            if candidate > backend.horizon:
+                continue
+            current = row_x.get(y, INF)
+            if candidate < current:
+                backend.set_value(x, y, candidate)
+                changed[(x, y)] = (current, candidate)
+    return changed
+
+
+def full_scan_affected(backend, source, target):
+    """Reference deletion affectedness test over every ``column(u) x row(v)`` pair."""
+    column_source = backend.column(source)
+    column_source[source] = 0
+    row_target = dict(backend.row_view(target))
+    affected = {}
+    for x, dist_to_source in column_source.items():
+        row_x = backend.row_view(x)
+        targets = {
+            y
+            for y, dist_from_target in row_target.items()
+            if x != y and row_x.get(y) == dist_to_source + 1 + dist_from_target
+        }
+        if targets:
+            affected[x] = targets
+    return affected
+
+
+def ordered_rows(backend):
+    """Every row as an item list, so entry order is compared too."""
+    return {source: list(backend.row_view(source).items()) for source in backend.node_set()}
+
+
+def ordered_affected(affected):
+    return [(x, list(targets)) for x, targets in affected.items()]
+
+
+class TestPrunedKernels:
+    """The sparse kernels scan only the S x T pairs an edge can change.
+
+    Against the full ``column(u) x row(v)`` scan they must return the
+    same dict in the same key order (the coalesced pass attributes
+    changes in that order) and leave the same matrix behind.
+    """
+
+    HORIZONS = (INF, 1, 2, 3)
+
+    def _sparse(self, graph, horizon):
+        return SLenMatrix.from_graph(graph, horizon=horizon, backend="sparse")
+
+    def _assert_relax_matches(self, backend, source, target):
+        reference = backend.copy()
+        expected = full_scan_relax(reference, source, target)
+        got = backend.relax_edge(source, target)
+        assert list(got.items()) == list(expected.items())
+        assert ordered_rows(backend) == ordered_rows(reference)
+        return got
+
+    @pytest.mark.parametrize("seed", range(16))
+    @pytest.mark.parametrize("horizon", HORIZONS)
+    def test_relax_matches_full_scan(self, seed, horizon):
+        graph = make_random_graph(num_nodes=25, num_edges=50, seed=100 + seed)
+        matrix = self._sparse(graph, horizon)
+        backend = matrix.backend
+        nodes = sorted(graph.nodes())
+        rng = random.Random(seed)
+        inserted = 0
+        while inserted < 6:
+            source, target = rng.sample(nodes, 2)
+            if graph.has_edge(source, target):
+                continue
+            graph.add_edge(source, target)
+            self._assert_relax_matches(backend, source, target)
+            inserted += 1
+        assert matrix == SLenMatrix.from_graph(graph, horizon=horizon)
+
+    @pytest.mark.parametrize("seed", range(16))
+    @pytest.mark.parametrize("horizon", HORIZONS)
+    def test_affected_matches_full_scan(self, seed, horizon):
+        graph = make_random_graph(num_nodes=25, num_edges=60, seed=200 + seed)
+        backend = self._sparse(graph, horizon).backend
+        before = ordered_rows(backend)
+        for source, target in sorted(graph.edges(), key=repr)[::5]:
+            got = backend.affected_by_edge_deletion(source, target)
+            expected = full_scan_affected(backend, source, target)
+            assert ordered_affected(got) == ordered_affected(expected)
+        assert ordered_rows(backend) == before
+
+    @pytest.mark.parametrize("horizon", HORIZONS)
+    def test_edge_without_shortcut_returns_before_column(self, horizon, monkeypatch):
+        """Re-relaxing an edge the matrix already reflects has an empty T."""
+        graph = make_random_graph(num_nodes=25, num_edges=60, seed=300)
+        backend = self._sparse(graph, horizon).backend
+        source, target = sorted(graph.edges(), key=repr)[0]
+        before = ordered_rows(backend)
+
+        def no_column(node):
+            raise AssertionError(f"column({node!r}) built for an edge with empty T")
+
+        monkeypatch.setattr(backend, "column", no_column)
+        assert backend.relax_edge(source, target) == {}
+        assert ordered_rows(backend) == before
+
+    @pytest.mark.parametrize("horizon", HORIZONS)
+    def test_edges_at_fresh_isolated_node(self, horizon):
+        graph = make_random_graph(num_nodes=25, num_edges=60, seed=301)
+        matrix = self._sparse(graph, horizon)
+        backend = matrix.backend
+        graph.add_node("fresh", "A")
+        backend.add_node("fresh")
+        for source, target in (("n3", "fresh"), ("fresh", "n7"), ("n9", "fresh")):
+            graph.add_edge(source, target)
+            got = self._assert_relax_matches(backend, source, target)
+            assert got
+        assert matrix == SLenMatrix.from_graph(graph, horizon=horizon)
+        expected = full_scan_affected(backend, "fresh", "n7")
+        got = backend.affected_by_edge_deletion("fresh", "n7")
+        assert ordered_affected(got) == ordered_affected(expected)
+
+    @pytest.mark.parametrize("seed", range(16))
+    @pytest.mark.parametrize("horizon", (INF, 2))
+    def test_coalesced_pass_matches_full_scan(self, seed, horizon, monkeypatch):
+        """The whole coalesced pass — merged and per-update deltas in key
+        order, and the matrix — is unchanged by the pruning, and its
+        verification round returns ``{}`` without building a column."""
+        graph = make_random_graph(num_nodes=40, num_edges=120, seed=400 + seed)
+        pattern = generate_pattern(
+            PatternSpec(num_nodes=4, num_edges=4, labels=("A", "B", "C"), seed=seed)
+        )
+        batch = generate_update_batch(
+            graph,
+            pattern,
+            UpdateWorkloadSpec(num_pattern_updates=0, num_data_updates=24, seed=500 + seed),
+        )
+        pruned = SLenMatrix.from_graph(graph, horizon=horizon, backend="sparse")
+        reference = pruned.copy()
+        surviving = compile_batch(batch.data_updates()).data_updates()
+        for update in surviving:
+            update.apply(graph)
+
+        ref_backend = reference.backend
+        monkeypatch.setattr(
+            ref_backend, "relax_edge", lambda u, v: full_scan_relax(ref_backend, u, v)
+        )
+        monkeypatch.setattr(
+            ref_backend,
+            "affected_by_edge_deletion",
+            lambda u, v: full_scan_affected(ref_backend, u, v),
+        )
+        expected = coalesce_slen(reference, graph, surviving)
+
+        backend = pruned.backend
+        calls = []
+        columns_built = [0]
+        column = backend.column
+        relax = backend.relax_edge
+
+        def counting_column(node):
+            columns_built[0] += 1
+            return column(node)
+
+        def recording_relax(u, v):
+            before = columns_built[0]
+            result = relax(u, v)
+            calls.append((result, columns_built[0] - before))
+            return result
+
+        monkeypatch.setattr(backend, "column", counting_column)
+        monkeypatch.setattr(backend, "relax_edge", recording_relax)
+        got = coalesce_slen(pruned, graph, surviving)
+
+        assert list(got.delta.changed_pairs.items()) == list(
+            expected.delta.changed_pairs.items()
+        )
+        assert [list(d.changed_pairs.items()) for d in got.per_update] == [
+            list(d.changed_pairs.items()) for d in expected.per_update
+        ]
+        assert got.relaxation_rounds == expected.relaxation_rounds
+        assert ordered_rows(backend) == ordered_rows(ref_backend)
+        assert pruned == SLenMatrix.from_graph(graph, horizon=horizon)
+
+        first_round = sum(
+            len(update.edges) if isinstance(update, NodeInsertion) else 1
+            for update in surviving
+            if isinstance(update, (EdgeInsertion, NodeInsertion))
+        )
+        verification = calls[first_round:]
+        assert got.relaxation_rounds == 2 and verification
+        for result, columns in verification:
+            assert result == {}
+            assert columns == 0
