@@ -12,9 +12,7 @@ initial-query-then-subsequent-query protocol.
 from __future__ import annotations
 
 import abc
-import threading
 import time
-import warnings
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
 
@@ -49,39 +47,6 @@ from repro.partition.partitioned_spl import (
 )
 from repro.spl.incremental import update_slen
 from repro.spl.matrix import SLenMatrix
-
-# ----------------------------------------------------------------------
-# The ``coalesce_updates`` deprecation fires once per process, not once
-# per algorithm construction (workloads build thousands of instances).
-# The flag is guarded by a lock: service handlers construct algorithms
-# on executor threads, and an unsynchronized check-then-set can emit the
-# warning from several threads at once.
-# ----------------------------------------------------------------------
-_coalesce_deprecation_warned = False
-_coalesce_deprecation_lock = threading.Lock()
-
-
-def warn_coalesce_updates_deprecated(stacklevel: int = 4) -> None:
-    """Emit the ``coalesce_updates`` DeprecationWarning at most once."""
-    global _coalesce_deprecation_warned
-    with _coalesce_deprecation_lock:
-        if _coalesce_deprecation_warned:
-            return
-        _coalesce_deprecation_warned = True
-    warnings.warn(
-        "coalesce_updates is deprecated: the execution planner is the "
-        "single decision point now; pass batch_plan='auto' instead",
-        DeprecationWarning,
-        stacklevel=stacklevel,
-    )
-
-
-def reset_coalesce_deprecation_warning() -> None:
-    """Re-arm the once-per-process deprecation (test hook)."""
-    global _coalesce_deprecation_warned
-    with _coalesce_deprecation_lock:
-        _coalesce_deprecation_warned = False
-
 
 @dataclass
 class QueryStats:
@@ -201,11 +166,6 @@ class GPNMAlgorithm(abc.ABC):
           (degrades to ``"coalesced"`` when ``use_partition`` is off).
 
         ``None`` selects ``"auto"``.
-    coalesce_updates:
-        Deprecated alias for ``batch_plan="auto"`` (now the default
-        anyway); the planner is the single decision point.  Passing it
-        emits a :class:`DeprecationWarning` once per process; an
-        explicit ``batch_plan`` wins.
     coalesce_min_batch:
         The planner's crossover rule: ``auto``-planned batches smaller
         than this stay on per-update maintenance (below the threshold
@@ -251,7 +211,6 @@ class GPNMAlgorithm(abc.ABC):
         enforce_totality: bool = True,
         precomputed_slen: Optional[SLenMatrix] = None,
         precomputed_relation: Optional[MatchResult] = None,
-        coalesce_updates: bool = False,
         coalesce_min_batch: int = DEFAULT_COALESCE_MIN_BATCH,
         slen_backend: Optional[str] = None,
         dense_block_size: Optional[int] = None,
@@ -264,8 +223,6 @@ class GPNMAlgorithm(abc.ABC):
         self._data = data.copy()
         self._use_partition = use_partition
         self._enforce_totality = enforce_totality
-        if coalesce_updates:
-            warn_coalesce_updates_deprecated()
         if batch_plan is None:
             batch_plan = STRATEGY_AUTO
         elif batch_plan not in PLAN_CHOICES:

@@ -102,12 +102,6 @@ def _add_common_options(parser: argparse.ArgumentParser, suppress: bool) -> None
         ),
     )
     parser.add_argument(
-        "--coalesce",
-        action="store_true",
-        default=default(False),
-        help="deprecated alias for --batch-plan auto",
-    )
-    parser.add_argument(
         "--coalesce-min-batch",
         type=int,
         default=default(None),
@@ -707,12 +701,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     config = _config_for(args.preset)
     if getattr(args, "batch_plan", None) is not None:
         config = dataclasses.replace(config, batch_plan=args.batch_plan)
-    elif args.coalesce:
-        print(
-            "[deprecated] --coalesce is an alias for --batch-plan auto",
-            file=sys.stderr,
-        )
-        config = dataclasses.replace(config, batch_plan="auto")
     if getattr(args, "coalesce_min_batch", None) is not None:
         config = dataclasses.replace(config, coalesce_min_batch=args.coalesce_min_batch)
     if args.slen_backend != "sparse":

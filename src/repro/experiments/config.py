@@ -56,9 +56,6 @@ class ExperimentConfig:
         ``"per-update"`` / ``"coalesced"`` / ``"partitioned"``; see
         :mod:`repro.batching.planner`).  ``None`` also selects
         ``"auto"``.
-    coalesce_updates:
-        Deprecated alias for ``batch_plan="auto"`` (now the default
-        anyway; kept for backwards compatibility).
     coalesce_min_batch:
         The planner's crossover rule: ``auto``-planned batches below
         this size stay on per-update maintenance (default from the
@@ -122,7 +119,6 @@ class ExperimentConfig:
     methods: tuple[str, ...] = METHOD_ORDER
     repetitions: int = 1
     seed: int = 2020
-    coalesce_updates: bool = False
     coalesce_min_batch: int = DEFAULT_COALESCE_MIN_BATCH
     slen_backend: str = "sparse"
     dense_block_size: Optional[int] = None

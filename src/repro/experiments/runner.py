@@ -20,7 +20,7 @@ from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 from typing import Optional
 
-from repro.algorithms.base import GPNMAlgorithm, warn_coalesce_updates_deprecated
+from repro.algorithms.base import GPNMAlgorithm
 from repro.batching.coalesce import DEFAULT_COALESCE_MIN_BATCH
 from repro.batching.planner import DEFAULT_COST_MODEL, CostModel
 from repro.batching.telemetry import TelemetryLog
@@ -104,7 +104,6 @@ def run_cell(
     verify_against_oracle: bool = False,
     shared_slen: Optional[SLenMatrix] = None,
     shared_iquery: Optional[MatchResult] = None,
-    coalesce_updates: bool = False,
     coalesce_min_batch: int = DEFAULT_COALESCE_MIN_BATCH,
     slen_backend: str = "sparse",
     dense_block_size: Optional[int] = None,
@@ -113,10 +112,6 @@ def run_cell(
     cost_model: Optional[CostModel] = None,
 ) -> list[MeasurementRecord]:
     """Run every method of one grid cell and return its measurement records."""
-    if coalesce_updates:
-        # Kept for API compatibility only: auto is the default plan now,
-        # so the flag has no effect beyond this once-per-process warning.
-        warn_coalesce_updates_deprecated(stacklevel=3)  # attribute to run_cell's caller
     if batch_plan is None:
         batch_plan = "auto"
     if pattern_size is None:
@@ -295,7 +290,6 @@ def run_experiment(
                     verify_against_oracle=verify_against_oracle,
                     shared_slen=slen,
                     shared_iquery=iquery,
-                    coalesce_updates=config.coalesce_updates,  # deprecated, warns only
                     coalesce_min_batch=config.coalesce_min_batch,
                     slen_backend=config.slen_backend,
                     dense_block_size=config.dense_block_size,

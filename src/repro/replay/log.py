@@ -14,65 +14,27 @@ inside it, because deltas absorbed by a snapshot no longer exist as
 records (the log is *snapshot-base aware* and refuses such windows
 loudly instead of replaying from the wrong state).
 
-The reader is strictly read-only: a torn final line (a crash mid-append)
-is ignored exactly as recovery would truncate it, but the file is left
-untouched; malformed interior records raise
+Parsing is :func:`repro.service.journal.parse_journal`, the same reader
+recovery uses, so a replay sees exactly the records and base a recovery
+would.  The log is strictly read-only: a torn final line (a crash
+mid-append) is ignored exactly as recovery would truncate it, but the
+file is left untouched; malformed interior records raise
 :class:`~repro.service.journal.JournalError` — a window is never
 silently reconstructed around missing history.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Union
 
 from repro.graph.digraph import DataGraph
-from repro.graph.io import data_graph_from_dict
-from repro.graph.updates import Update
-from repro.service.journal import (
-    JournalError,
-    read_journal_records,
-    update_from_doc,
-)
+from repro.service.journal import ReplayRecord, parse_journal
 
 
 class ReplayError(RuntimeError):
     """A window that cannot be reconstructed from the journal."""
-
-
-#: Record kinds a :class:`ReplayRecord` can carry (``snapshot`` records
-#: become the log's base, never stream entries).
-REPLAY_RECORD_KINDS: tuple[str, ...] = (
-    "delta",
-    "checkpoint",
-    "subscribe",
-    "unsubscribe",
-)
-
-
-@dataclass(frozen=True)
-class ReplayRecord:
-    """One journal record of the replayable stream.
-
-    ``seq`` is the journal's monotone sequence number.  Checkpoints
-    share the seq of the highest delta they cover (they do not consume
-    the counter), so within one seq a delta sorts before its
-    checkpoint; ``sort_key`` encodes that.
-    """
-
-    seq: int
-    kind: str
-    updates: tuple[Update, ...] = ()
-    version: Optional[int] = None
-    batch: Optional[int] = None
-    subscription: Optional[dict] = None
-    pattern_id: Optional[str] = None
-
-    @property
-    def sort_key(self) -> tuple[int, int]:
-        """Deterministic stream position: by seq, checkpoint after delta."""
-        return (self.seq, 1 if self.kind == "checkpoint" else 0)
 
 
 @dataclass(frozen=True)
@@ -190,16 +152,16 @@ class ReplayLog:
         self.path = Path(path)
         if not self.path.exists():
             raise ReplayError(f"journal file {self.path} does not exist")
-        self.base_graph: Optional[DataGraph] = None
-        self.base_seq: int = 0
-        self.base_version: int = 0
-        self.stamps: Optional[dict] = None
-        self.base_subscriptions: dict[str, dict] = {}
-        self.records: tuple[ReplayRecord, ...] = ()
-        self.last_seq: int = 0
-        self.torn_tail: bool = False
-        self.dropped_duplicates: int = 0
-        self._parse()
+        contents = parse_journal(self.path)
+        self.base_graph: Optional[DataGraph] = contents.base_graph
+        self.base_seq: int = contents.base_seq
+        self.base_version: int = contents.base_version
+        self.stamps: Optional[dict] = contents.stamps
+        self.base_subscriptions: dict[str, dict] = contents.base_subscriptions
+        self.records: tuple[ReplayRecord, ...] = tuple(contents.records)
+        self.last_seq: int = contents.last_seq
+        self.torn_tail: bool = contents.torn_tail
+        self.dropped_duplicates: int = contents.dropped_duplicates
 
     @classmethod
     def discover(cls, directory: Union[str, Path]) -> dict[str, Path]:
@@ -216,91 +178,6 @@ class ReplayLog:
         for path in sorted(directory.glob("*.journal.jsonl")):
             found[path.name[: -len(".journal.jsonl")]] = path
         return found
-
-    # ------------------------------------------------------------------
-    # Parsing
-    # ------------------------------------------------------------------
-    def _parse(self) -> None:
-        raw_records, torn, _good_bytes = read_journal_records(self.path)
-        self.torn_tail = torn
-        stream: list[ReplayRecord] = []
-        seen_deltas: set[int] = set()
-        for position, record in enumerate(raw_records):
-            try:
-                self._fold(record, stream, seen_deltas)
-            except JournalError as exc:
-                raise JournalError(
-                    f"corrupt journal record at line {position + 1} of {self.path}: {exc}"
-                ) from exc
-        self.records = tuple(stream)
-
-    def _fold(
-        self, record: dict, stream: list[ReplayRecord], seen_deltas: set[int]
-    ) -> None:
-        kind = record.get("t")
-        seq = record.get("seq")
-        if not isinstance(seq, int):
-            raise JournalError(f"record lacks an integer seq: {record!r}")
-        self.last_seq = max(self.last_seq, seq)
-        if kind == "snapshot":
-            self.base_graph = data_graph_from_dict(record["graph"])
-            self.base_seq = seq
-            self.base_version = int(record.get("version", 0))
-            stamps = record.get("stamps")
-            self.stamps = stamps if isinstance(stamps, dict) else None
-            embedded = record.get("subscriptions", [])
-            if not isinstance(embedded, list):
-                raise JournalError(f"snapshot subscriptions must be a list: {record!r}")
-            self.base_subscriptions = {}
-            for doc in embedded:
-                if not isinstance(doc, dict) or "pattern_id" not in doc:
-                    raise JournalError(f"malformed snapshot subscription {doc!r}")
-                self.base_subscriptions[doc["pattern_id"]] = doc
-            # Records at or before the snapshot are inside it; a
-            # mid-file snapshot (never written by compaction, but legal
-            # in the format) absorbs everything before it.
-            absorbed = [r for r in stream if r.seq <= seq]
-            self.dropped_duplicates += sum(1 for r in absorbed if r.kind == "delta")
-            stream[:] = [r for r in stream if r.seq > seq]
-            seen_deltas.difference_update(
-                s for s in tuple(seen_deltas) if s <= seq
-            )
-        elif kind == "delta":
-            if seq in seen_deltas or seq <= self.base_seq:
-                self.dropped_duplicates += 1
-                return
-            updates = record.get("updates")
-            if not isinstance(updates, list):
-                raise JournalError(f"delta record lacks an updates list: {record!r}")
-            seen_deltas.add(seq)
-            stream.append(
-                ReplayRecord(
-                    seq=seq,
-                    kind="delta",
-                    updates=tuple(update_from_doc(doc) for doc in updates),
-                )
-            )
-        elif kind == "checkpoint":
-            stream.append(
-                ReplayRecord(
-                    seq=seq,
-                    kind="checkpoint",
-                    version=int(record.get("version", 0)),
-                    batch=record.get("batch"),
-                )
-            )
-        elif kind == "subscribe":
-            doc = record.get("sub")
-            if not isinstance(doc, dict) or "pattern_id" not in doc:
-                raise JournalError(f"malformed subscribe record {record!r}")
-            stream.append(ReplayRecord(seq=seq, kind="subscribe", subscription=doc))
-        elif kind == "unsubscribe":
-            pattern_id = record.get("pattern_id")
-            if not isinstance(pattern_id, str):
-                raise JournalError(f"malformed unsubscribe record {record!r}")
-            stream.append(ReplayRecord(seq=seq, kind="unsubscribe", pattern_id=pattern_id))
-        else:
-            raise JournalError(f"unknown journal record type {kind!r}")
 
     # ------------------------------------------------------------------
     # Window extraction
@@ -354,10 +231,8 @@ class ReplayLog:
                     for update in record.updates:
                         update.apply(base)
                     warmup += 1
-                elif record.kind == "subscribe":
-                    registry[record.subscription["pattern_id"]] = record.subscription
-                elif record.kind == "unsubscribe":
-                    registry.pop(record.pattern_id, None)
+                else:
+                    record.fold_into(registry)
                 continue
             if record.seq > end:
                 continue

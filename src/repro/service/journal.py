@@ -24,8 +24,15 @@ SNIPPETS.md §3):
 * **Torn-tail tolerance** — an fsync'd append can still be interrupted
   mid-record (power loss, the fault injector's torn writes).  Recovery
   accepts a malformed *final* line, truncates it away, and counts it;
-  malformed interior lines are real corruption and raise
-  :class:`JournalError`.
+  malformed interior lines — unparseable JSON or a record whose fields
+  do not fit its kind — are real corruption and raise
+  :class:`JournalError` with the line number.
+
+This module is also the journal's only *reader*: :func:`parse_journal`
+interprets the records once, and both recovery
+(:meth:`GraphJournal.open`) and the replay log
+(:class:`repro.replay.ReplayLog`) derive their views from its
+:class:`JournalContents`.
 
 File format: one JSON object per line.
 
@@ -64,6 +71,7 @@ from __future__ import annotations
 import json
 import os
 import re
+from dataclasses import dataclass, field
 from hashlib import blake2s
 from pathlib import Path
 from typing import Optional, Union
@@ -214,10 +222,167 @@ def read_journal_records(path: Union[str, Path]) -> tuple[list[dict], bool, int]
 
 
 # ----------------------------------------------------------------------
+# The record interpreter: one fold shared by recovery and replay
+# ----------------------------------------------------------------------
+@dataclass(frozen=True)
+class ReplayRecord:
+    """One journal record past the snapshot base.
+
+    ``seq`` is the journal's monotone sequence number.  Checkpoints
+    share the seq of the highest delta they cover (they do not consume
+    the counter), so within one seq a delta sorts before its
+    checkpoint; ``sort_key`` encodes that.
+    """
+
+    seq: int
+    kind: str
+    updates: tuple[Update, ...] = ()
+    version: Optional[int] = None
+    batch: Optional[int] = None
+    subscription: Optional[dict] = None
+    pattern_id: Optional[str] = None
+
+    @property
+    def sort_key(self) -> tuple[int, int]:
+        """Deterministic stream position: by seq, checkpoint after delta."""
+        return (self.seq, 1 if self.kind == "checkpoint" else 0)
+
+    def fold_into(self, registry: dict[str, dict]) -> None:
+        """Apply a subscribe/unsubscribe record to a pattern-id registry.
+
+        Every other kind leaves the registry unchanged.
+        """
+        if self.kind == "subscribe":
+            registry[self.subscription["pattern_id"]] = self.subscription
+        elif self.kind == "unsubscribe":
+            registry.pop(self.pattern_id, None)
+
+
+@dataclass
+class JournalContents:
+    """What :func:`parse_journal` read from one journal file.
+
+    The snapshot base (``base_graph`` is ``None`` without a snapshot
+    record; ``base_subscriptions`` is its embedded registry, keyed by
+    pattern id) and ``records``: every ``delta``/``checkpoint``/
+    ``subscribe``/``unsubscribe`` record past the base, in file order.
+    A snapshot absorbs every earlier record with ``seq`` at or below its
+    own, and a delta whose seq was already seen or lies inside the base
+    is dropped and counted in ``dropped_duplicates``.  ``last_seq`` is
+    the highest seq anywhere in the file; ``torn_tail`` and
+    ``good_bytes`` are :func:`read_journal_records`'s torn-tail report.
+    """
+
+    base_graph: Optional[DataGraph] = None
+    base_seq: int = 0
+    base_version: int = 0
+    stamps: Optional[dict] = None
+    base_subscriptions: dict[str, dict] = field(default_factory=dict)
+    records: list[ReplayRecord] = field(default_factory=list)
+    last_seq: int = 0
+    torn_tail: bool = False
+    good_bytes: int = 0
+    dropped_duplicates: int = 0
+
+
+def parse_journal(path: Union[str, Path]) -> JournalContents:
+    """Read the journal at ``path`` (without modifying it) and fold it once.
+
+    Raises :class:`JournalError` naming the line of the first malformed
+    interior record; a torn final line is reported, not raised.
+    """
+    raw, torn, good_bytes = read_journal_records(path)
+    contents = JournalContents(torn_tail=torn, good_bytes=good_bytes)
+    seen_deltas: set[int] = set()
+    for position, record in enumerate(raw):
+        try:
+            _fold_record(record, contents, seen_deltas)
+        except JournalError as exc:
+            raise JournalError(
+                f"corrupt journal record at line {position + 1} of {path}: {exc}"
+            ) from exc
+    return contents
+
+
+def _fold_record(record: dict, contents: JournalContents, seen_deltas: set[int]) -> None:
+    kind = record.get("t")
+    seq = record.get("seq")
+    if not isinstance(seq, int):
+        raise JournalError(f"record lacks an integer seq: {record!r}")
+    contents.last_seq = max(contents.last_seq, seq)
+    if kind == "snapshot":
+        graph = record.get("graph")
+        if not isinstance(graph, dict):
+            raise JournalError(f"snapshot record lacks a graph object: {record!r}")
+        try:
+            contents.base_graph = data_graph_from_dict(graph)
+        except (KeyError, TypeError, ValueError) as exc:
+            raise JournalError(f"malformed snapshot graph: {exc!r}") from exc
+        contents.base_seq = seq
+        contents.base_version = _record_version(record)
+        stamps = record.get("stamps")
+        contents.stamps = stamps if isinstance(stamps, dict) else None
+        embedded = record.get("subscriptions", [])
+        if not isinstance(embedded, list):
+            raise JournalError(f"snapshot subscriptions must be a list: {record!r}")
+        contents.base_subscriptions = {}
+        for doc in embedded:
+            if not isinstance(doc, dict) or "pattern_id" not in doc:
+                raise JournalError(f"malformed snapshot subscription {doc!r}")
+            contents.base_subscriptions[doc["pattern_id"]] = doc
+        # Records at or before the snapshot are inside it; a mid-file
+        # snapshot (never written by compaction, but legal in the
+        # format) absorbs every earlier record it covers.
+        absorbed = [r for r in contents.records if r.seq <= seq]
+        contents.dropped_duplicates += sum(1 for r in absorbed if r.kind == "delta")
+        contents.records = [r for r in contents.records if r.seq > seq]
+        seen_deltas.difference_update([s for s in seen_deltas if s <= seq])
+    elif kind == "delta":
+        if seq in seen_deltas or seq <= contents.base_seq:
+            contents.dropped_duplicates += 1
+            return
+        updates = record.get("updates")
+        if not isinstance(updates, list):
+            raise JournalError(f"delta record lacks an updates list: {record!r}")
+        seen_deltas.add(seq)
+        contents.records.append(
+            ReplayRecord(seq, "delta", updates=tuple(update_from_doc(doc) for doc in updates))
+        )
+    elif kind == "checkpoint":
+        contents.records.append(
+            ReplayRecord(
+                seq, "checkpoint", version=_record_version(record), batch=record.get("batch")
+            )
+        )
+    elif kind == "subscribe":
+        doc = record.get("sub")
+        if not isinstance(doc, dict) or "pattern_id" not in doc:
+            raise JournalError(f"malformed subscribe record {record!r}")
+        contents.records.append(ReplayRecord(seq, "subscribe", subscription=doc))
+    elif kind == "unsubscribe":
+        pattern_id = record.get("pattern_id")
+        if not isinstance(pattern_id, str):
+            raise JournalError(f"malformed unsubscribe record {record!r}")
+        contents.records.append(ReplayRecord(seq, "unsubscribe", pattern_id=pattern_id))
+    else:
+        raise JournalError(f"unknown journal record type {kind!r}")
+
+
+def _record_version(record: dict) -> int:
+    try:
+        return int(record.get("version", 0))
+    except (TypeError, ValueError) as exc:
+        raise JournalError(f"record version is not an integer: {record!r}") from exc
+
+
+# ----------------------------------------------------------------------
 # Recovery state
 # ----------------------------------------------------------------------
 class RecoveredState:
     """What :meth:`GraphJournal.open` found on disk.
+
+    Derived from the :func:`parse_journal` result: recovery replays the
+    same records the replay log reads, against the same base.
 
     Attributes
     ----------
@@ -258,18 +423,25 @@ class RecoveredState:
         Empty for journals written before subscriptions existed.
     """
 
-    def __init__(self) -> None:
-        self.base_graph: Optional[DataGraph] = None
-        self.base_seq: int = 0
-        self.base_version: int = 0
-        self.checkpoint_seq: int = 0
-        self.checkpoint_version: int = 0
-        self.tail: list[tuple[int, list[Update]]] = []
-        self.last_seq: int = 0
-        self.torn_line: bool = False
-        self.dropped_duplicates: int = 0
-        self.stamps: Optional[dict] = None
-        self.subscriptions: dict[str, dict] = {}
+    def __init__(self, contents: JournalContents) -> None:
+        self.base_graph: Optional[DataGraph] = contents.base_graph
+        self.base_seq: int = contents.base_seq
+        self.base_version: int = contents.base_version
+        checkpoints = [r for r in contents.records if r.kind == "checkpoint"]
+        self.checkpoint_seq: int = max([contents.base_seq, *(r.seq for r in checkpoints)])
+        self.checkpoint_version: int = max(
+            [contents.base_version, *(r.version for r in checkpoints)]
+        )
+        self.tail: list[tuple[int, list[Update]]] = sorted(
+            (r.seq, list(r.updates)) for r in contents.records if r.kind == "delta"
+        )
+        self.last_seq: int = contents.last_seq
+        self.torn_line: bool = contents.torn_tail
+        self.dropped_duplicates: int = contents.dropped_duplicates
+        self.stamps: Optional[dict] = contents.stamps
+        self.subscriptions: dict[str, dict] = dict(contents.base_subscriptions)
+        for record in contents.records:
+            record.fold_into(self.subscriptions)
 
     def __repr__(self) -> str:
         return (
@@ -325,10 +497,15 @@ class GraphJournal:
         truncated away and counted; malformed interior lines raise
         :class:`JournalError`.
         """
-        state = RecoveredState()
         self.path.parent.mkdir(parents=True, exist_ok=True)
-        if self.path.exists():
-            self._read_into(state)
+        contents = parse_journal(self.path) if self.path.exists() else JournalContents()
+        if contents.torn_tail:
+            self.torn_lines += 1
+            with open(self.path, "ab") as handle:
+                handle.truncate(contents.good_bytes)
+                handle.flush()
+                os.fsync(handle.fileno())
+        state = RecoveredState(contents)
         self._base_seq = state.base_seq
         self._checkpoint_seq = state.checkpoint_seq
         self._next_seq = state.last_seq + 1
@@ -386,91 +563,6 @@ class GraphJournal:
         self._next_seq = seq + 1
         self._pending = {}
         fsync_directory(self.path.parent)
-
-    def _read_into(self, state: RecoveredState) -> None:
-        records, torn, good_bytes = read_journal_records(self.path)
-        deltas: dict[int, list[Update]] = {}
-        for position, record in enumerate(records):
-            try:
-                self._apply_record(record, state, deltas)
-            except JournalError as exc:
-                raise JournalError(
-                    f"corrupt journal record at line {position + 1} of {self.path}: {exc}"
-                ) from exc
-        if torn:
-            state.torn_line = True
-            self.torn_lines += 1
-            with open(self.path, "ab") as handle:
-                handle.truncate(good_bytes)
-                handle.flush()
-                os.fsync(handle.fileno())
-        # Everything past the snapshot base needs replaying — the base
-        # graph is the only settled state that survived the crash.
-        state.tail = sorted(
-            ((seq, updates) for seq, updates in deltas.items() if seq > state.base_seq),
-        )
-        dropped = sum(1 for seq in deltas if seq <= state.base_seq)
-        state.dropped_duplicates += dropped
-
-    def _apply_record(
-        self,
-        record: dict,
-        state: RecoveredState,
-        deltas: dict[int, list[Update]],
-    ) -> None:
-        kind = record.get("t")
-        seq = record.get("seq")
-        if not isinstance(seq, int):
-            raise JournalError(f"record lacks an integer seq: {record!r}")
-        state.last_seq = max(state.last_seq, seq)
-        if kind == "snapshot":
-            state.base_graph = data_graph_from_dict(record["graph"])
-            state.base_seq = seq
-            state.base_version = int(record.get("version", 0))
-            stamps = record.get("stamps")
-            state.stamps = stamps if isinstance(stamps, dict) else None
-            # The snapshot's embedded registry replaces anything folded
-            # so far — control records before it are inside it.
-            embedded = record.get("subscriptions", [])
-            if not isinstance(embedded, list):
-                raise JournalError(f"snapshot subscriptions must be a list: {record!r}")
-            state.subscriptions = {}
-            for doc in embedded:
-                if not isinstance(doc, dict) or "pattern_id" not in doc:
-                    raise JournalError(f"malformed snapshot subscription {doc!r}")
-                state.subscriptions[doc["pattern_id"]] = doc
-            state.checkpoint_seq = max(state.checkpoint_seq, seq)
-            state.checkpoint_version = max(state.checkpoint_version, state.base_version)
-            # Anything journaled at or before the snapshot is inside it.
-            stale = [s for s in deltas if s <= seq]
-            for s in stale:
-                del deltas[s]
-            state.dropped_duplicates += len(stale)
-        elif kind == "delta":
-            if seq in deltas or seq <= state.base_seq:
-                state.dropped_duplicates += 1
-                return
-            updates = record.get("updates")
-            if not isinstance(updates, list):
-                raise JournalError(f"delta record lacks an updates list: {record!r}")
-            deltas[seq] = [update_from_doc(doc) for doc in updates]
-        elif kind == "checkpoint":
-            state.checkpoint_seq = max(state.checkpoint_seq, seq)
-            state.checkpoint_version = max(
-                state.checkpoint_version, int(record.get("version", 0))
-            )
-        elif kind == "subscribe":
-            doc = record.get("sub")
-            if not isinstance(doc, dict) or "pattern_id" not in doc:
-                raise JournalError(f"malformed subscribe record {record!r}")
-            state.subscriptions[doc["pattern_id"]] = doc
-        elif kind == "unsubscribe":
-            pattern_id = record.get("pattern_id")
-            if not isinstance(pattern_id, str):
-                raise JournalError(f"malformed unsubscribe record {record!r}")
-            state.subscriptions.pop(pattern_id, None)
-        else:
-            raise JournalError(f"unknown journal record type {kind!r}")
 
     # ------------------------------------------------------------------
     # The write-ahead path
@@ -648,14 +740,14 @@ class DeadLetterJournal:
         append_line_durable(self.path, json.dumps(record))
 
     def load(self) -> list[dict]:
-        """All quarantine records (empty when the file does not exist)."""
+        """All quarantine records (empty when the file does not exist).
+
+        A torn final line (a crash mid-append) is ignored; interior
+        corruption raises :class:`JournalError`.
+        """
         if not self.path.exists():
             return []
-        records = []
-        for line in self.path.read_text(encoding="utf-8").splitlines():
-            if line.strip():
-                records.append(json.loads(line))
-        return records
+        return read_journal_records(self.path)[0]
 
     def __len__(self) -> int:
         return len(self.load())

@@ -49,10 +49,9 @@ PushListener = Callable[["SubscriptionDelta"], None]
 # ----------------------------------------------------------------------
 # The single-pattern ``register_graph`` deprecation fires once per
 # process, not once per registration (test suites register hundreds of
-# graphs).  Same lock + reset-hook machinery as the ``coalesce_updates``
-# deprecation in :mod:`repro.algorithms.base`: registrations can happen
-# from several event loops/threads, and an unsynchronized check-then-set
-# can emit the warning more than once.
+# graphs).  The flag is guarded by a lock: registrations can happen from
+# several event loops/threads, and an unsynchronized check-then-set can
+# emit the warning more than once.
 # ----------------------------------------------------------------------
 _register_deprecation_warned = False
 _register_deprecation_lock = threading.Lock()

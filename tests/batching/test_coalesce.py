@@ -202,7 +202,7 @@ class TestPayloadEdgeInteractions:
         assert_delta_composition(stream, base_graph=base)
 
     def test_node_churn_through_the_algorithm_surface(self):
-        """The same streams must work end-to-end with coalesce_updates on."""
+        """The same streams must work end-to-end on the coalesced plan."""
         from repro.algorithms.scratch import BatchGPNM
         from repro.algorithms.ua_gpnm import UAGPNM
         from repro.graph.pattern import PatternGraph

@@ -2,10 +2,9 @@
 
 Covers the routing rules (the ``coalesce_min_batch`` guard as a planner
 rule, insert-dominated routing, cost-model argmin, partitioned
-availability), the ``PlanReport`` surface, and the deprecation of the
-raw ``coalesce_updates`` flag — the planner is the single source of
-truth now, so the old "flag says coalesce, guard says per-update"
-disagreement is gone by construction.
+availability), the ``PlanReport`` surface, and the engine's
+``batch_plan`` default — the planner is the single source of truth, so
+no flag can disagree with the crossover guard.
 """
 
 from __future__ import annotations
@@ -241,16 +240,7 @@ class TestBatchStatistics:
 
 
 class TestDeprecatedFlag:
-    """``coalesce_updates`` is deprecated; the planner decides."""
-
-    @pytest.fixture(autouse=True)
-    def _rearm_deprecation(self):
-        """The warning fires once per process; re-arm it per test."""
-        from repro.algorithms.base import reset_coalesce_deprecation_warning
-
-        reset_coalesce_deprecation_warning()
-        yield
-        reset_coalesce_deprecation_warning()
+    """The planner decides; no flag overrides it."""
 
     def _instance(self):
         from tests.conftest import make_random_graph, make_random_pattern
@@ -258,32 +248,6 @@ class TestDeprecatedFlag:
         data = make_random_graph(seed=5)
         pattern = make_random_pattern(seed=5)
         return pattern, data
-
-    def test_coalesce_updates_warns(self):
-        pattern, data = self._instance()
-        with pytest.warns(DeprecationWarning, match="batch_plan"):
-            engine = UAGPNM(pattern, data, coalesce_updates=True)
-        assert engine.batch_plan == "auto"
-
-    def test_warning_fires_once_per_process(self):
-        """Workloads construct thousands of instances; the deprecation
-        must not fire once per constructor."""
-        import warnings as _warnings
-
-        pattern, data = self._instance()
-        with _warnings.catch_warnings(record=True) as caught:
-            _warnings.simplefilter("always")
-            UAGPNM(pattern, data, coalesce_updates=True)
-            UAGPNM(pattern, data, coalesce_updates=True)
-            UAGPNM(pattern, data, coalesce_updates=True)
-        deprecations = [w for w in caught if issubclass(w.category, DeprecationWarning)]
-        assert len(deprecations) == 1
-
-    def test_explicit_batch_plan_wins_over_flag(self):
-        pattern, data = self._instance()
-        with pytest.warns(DeprecationWarning):
-            engine = UAGPNM(pattern, data, coalesce_updates=True, batch_plan="per-update")
-        assert engine.batch_plan == "per-update"
 
     def test_no_flag_no_warning(self):
         import warnings as _warnings
@@ -308,12 +272,10 @@ class TestDeprecatedFlag:
         assert engine.coalesces_updates
 
     def test_planner_is_single_source_of_truth(self):
-        """The old latent disagreement: flag on, batch under the
-        crossover.  The planner decides (per-update) and the record says
-        so — no coalesced pass, no silent flag/guard split."""
+        """A batch under the crossover: the planner decides (per-update)
+        and the record says so — no coalesced pass."""
         pattern, data = self._instance()
-        with pytest.warns(DeprecationWarning):
-            engine = UAGPNM(pattern, data, coalesce_updates=True, coalesce_min_batch=64)
+        engine = UAGPNM(pattern, data, coalesce_min_batch=64)
         batch = [insert_data_edge("n0", "n9"), delete_data_edge("n1", "n2")]
         from repro.graph.digraph import DataGraph
 

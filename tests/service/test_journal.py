@@ -3,7 +3,8 @@
 The service-level (replay-through-admission) side of recovery is
 covered by ``test_faults.py``; this module exercises the journal file
 format directly: empty and checkpoint-only journals, torn final lines,
-duplicate-seq idempotence, and the compaction rewrite.
+duplicate-seq idempotence, malformed records, the compaction rewrite,
+and agreement between recovery and the replay log (one reader).
 """
 
 import asyncio
@@ -12,12 +13,14 @@ import json
 import pytest
 
 from repro.graph import DataGraph, PatternGraph
+from repro.graph.io import data_graph_to_dict
 from repro.graph.updates import (
     delete_data_edge,
     delete_data_node,
     insert_data_edge,
     insert_data_node,
 )
+from repro.replay import ReplayLog
 from repro.service import ServiceConfig, StreamingUpdateService
 from repro.service.journal import (
     DeadLetterJournal,
@@ -286,6 +289,74 @@ def test_unterminated_but_valid_final_record_is_dropped_as_torn(tmp_path):
 
 
 # ----------------------------------------------------------------------
+# Malformed records: both readers raise JournalError with the line
+# ----------------------------------------------------------------------
+READERS = {
+    "recovery": lambda path: GraphJournal(path).open(),
+    "replay": ReplayLog,
+}
+
+MALFORMED_RECORDS = {
+    "snapshot-without-graph": {"t": "snapshot", "seq": 1, "version": 1},
+    "snapshot-with-list-graph": {"t": "snapshot", "seq": 1, "version": 1, "graph": []},
+    "snapshot-with-empty-graph": {"t": "snapshot", "seq": 1, "version": 1, "graph": {}},
+    "snapshot-with-bad-version": {
+        "t": "snapshot",
+        "seq": 1,
+        "version": "x",
+        "graph": data_graph_to_dict(make_graph()),
+    },
+    "checkpoint-with-bad-version": {"t": "checkpoint", "seq": 1, "version": "x", "batch": 1},
+}
+
+
+@pytest.mark.parametrize("reader", sorted(READERS))
+@pytest.mark.parametrize("case", sorted(MALFORMED_RECORDS))
+def test_malformed_record_raises_journal_error_with_its_line(tmp_path, reader, case):
+    path = tmp_path / "g.journal.jsonl"
+    lines = [
+        {"t": "delta", "seq": 1, "updates": [update_to_doc(insert_data_edge("n0", "n2"))]},
+        MALFORMED_RECORDS[case],
+        {"t": "delta", "seq": 2, "updates": [update_to_doc(insert_data_edge("n0", "n3"))]},
+    ]
+    path.write_text("".join(json.dumps(line) + "\n" for line in lines))
+    with pytest.raises(JournalError, match="corrupt journal record at line 2"):
+        READERS[reader](path)
+
+
+# ----------------------------------------------------------------------
+# One reader: recovery is a faithful replay of the window past the base
+# ----------------------------------------------------------------------
+def test_recovery_and_replay_log_read_the_same_records(tmp_path):
+    path = tmp_path / "g.journal.jsonl"
+    journal = GraphJournal(path)
+    journal.initialize(make_graph(), seq=3, version=2, subscriptions=[{"pattern_id": "kept"}])
+    journal.append_delta([insert_data_edge("n0", "n2")])
+    journal.append_subscribe({"pattern_id": "added"})
+    journal.checkpoint(4, version=3, batch_id=1)
+    journal.append_delta([delete_data_edge("n0", "n1")])
+    journal.append_unsubscribe("kept")
+    journal.close()
+    # A re-appended copy of seq 4: both readers must drop it.
+    first_delta = path.read_text().splitlines()[1]
+    with open(path, "a") as handle:
+        handle.write(first_delta + "\n")
+
+    state = GraphJournal(path).open()
+    log = ReplayLog(path)
+    assert state.base_graph == log.base_graph == make_graph()
+    assert state.base_seq == log.base_seq == 3
+    assert state.last_seq == log.last_seq == 7
+    assert state.dropped_duplicates == log.dropped_duplicates == 1
+    replayed = [(r.seq, list(r.updates)) for r in log.records if r.kind == "delta"]
+    assert state.tail == replayed
+    assert [seq for seq, _ in state.tail] == [4, 6]
+    assert (state.checkpoint_seq, state.checkpoint_version) == (4, 3)
+    assert list(state.subscriptions) == ["added"]
+    assert [doc["pattern_id"] for doc in log.window().subscriptions] == ["kept"]
+
+
+# ----------------------------------------------------------------------
 # Journal initialization (live capture)
 # ----------------------------------------------------------------------
 def test_initialize_writes_a_replayable_snapshot_base(tmp_path):
@@ -389,6 +460,22 @@ def test_dead_letter_journal_round_trip(tmp_path):
     assert records[0]["update"]["op"] == "insert_edge"
     assert records[0]["error"] == "kernel exploded"
     assert records[1]["kind"] == "cascade"
+
+
+def test_dead_letter_journal_ignores_a_torn_final_line(tmp_path):
+    path = tmp_path / "g.deadletter.jsonl"
+    dead = DeadLetterJournal(path)
+    dead.append(insert_data_edge("a", "b"), "kernel exploded")
+    dead.append(delete_data_edge("c", "d"), "cascade", kind="cascade")
+    intact = path.read_bytes()
+    path.write_bytes(intact + b'{"kind": "poison", "upd')  # crash mid-append
+    assert [record["kind"] for record in dead.load()] == ["poison", "cascade"]
+    assert len(dead) == 2
+    # Interior corruption is not a torn tail.
+    lines = intact.splitlines(keepends=True)
+    path.write_bytes(lines[0][:10] + b"\n" + lines[1])
+    with pytest.raises(JournalError, match="corrupt journal record at line 1"):
+        dead.load()
 
 
 # ----------------------------------------------------------------------
