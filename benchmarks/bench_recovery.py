@@ -10,9 +10,10 @@ Two phases, both deterministic:
 * **Recovery** — a quiet-configured service journals a 1k-delta tail
   with no settles (so nothing is checkpointed), then "crashes" via
   ``abort()``.  The benchmark times a cold boot over that journal:
-  ``register_graph`` (tail replay scheduling) plus ``drain`` (replay and
-  settle).  Correctness is checked edge-by-edge: the recovered settled
-  graph must agree with the writer's toggle ledger on every owned pair.
+  ``register`` (tail replay scheduling; the journal restores the
+  standing pattern) plus ``drain`` (replay and settle).  Correctness is
+  checked edge-by-edge: the recovered settled graph must agree with the
+  writer's toggle ledger on every owned pair.
 
 The writer owns disjoint node pairs and tracks a ledger of which owned
 edges currently exist, so every submitted delta is valid regardless of
@@ -42,7 +43,7 @@ from tempfile import TemporaryDirectory
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from repro.service import ServiceConfig, StreamingUpdateService  # noqa: E402
+from repro.service import DEFAULT_PATTERN_ID, ServiceConfig, StreamingUpdateService  # noqa: E402
 from repro.workloads import (  # noqa: E402
     PatternSpec,
     SocialGraphSpec,
@@ -137,7 +138,8 @@ async def run_ingest(journal_dir, payloads: int) -> dict:
         journal_dir=journal_dir,
     )
     service = StreamingUpdateService(config)
-    await service.register_graph("bench", pattern, data)
+    await service.register("bench", data)
+    await service.subscribe("bench", DEFAULT_PATTERN_ID, pattern)
 
     accepted = rejected = 0
     started = time.perf_counter()
@@ -189,7 +191,8 @@ async def run_recovery(journal_dir, tail_deltas: int) -> dict:
         journal_dir=journal_dir,
     )
     victim = StreamingUpdateService(quiet)
-    await victim.register_graph("bench", pattern, data)
+    await victim.register("bench", data)
+    await victim.subscribe("bench", DEFAULT_PATTERN_ID, pattern)
     populate_started = time.perf_counter()
     accepted = rejected = 0
     for batch in batches:
@@ -207,7 +210,9 @@ async def run_recovery(journal_dir, tail_deltas: int) -> dict:
     )
     service = StreamingUpdateService(config)
     recovery_started = time.perf_counter()
-    await service.register_graph("bench", pattern, build_graph_and_pattern()[0])
+    # The journal holds the victim's subscription, so registering
+    # restores it; there is nothing to subscribe again.
+    await service.register("bench", build_graph_and_pattern()[0])
     await service.drain()
     recovery_seconds = time.perf_counter() - recovery_started
 

@@ -41,7 +41,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from repro.service import ServiceConfig, StreamingUpdateService  # noqa: E402
+from repro.service import DEFAULT_PATTERN_ID, ServiceConfig, StreamingUpdateService  # noqa: E402
 from repro.service.service import default_algorithm_factory  # noqa: E402
 from repro.workloads import (  # noqa: E402
     PatternSpec,
@@ -161,7 +161,8 @@ async def run_benchmark(duration: float, writers: int, readers: int) -> dict:
         return algorithm
 
     service = StreamingUpdateService(config, algorithm_factory=factory)
-    await service.register_graph("bench", pattern, data)
+    await service.register("bench", data)
+    await service.subscribe("bench", DEFAULT_PATTERN_ID, pattern)
 
     stop = asyncio.Event()
     accepted = {"count": 0}
@@ -297,7 +298,8 @@ async def measure_publish_scaling() -> list[dict]:
             snapshot_history=4,
         )
         service = StreamingUpdateService(config)
-        await service.register_graph("g", pattern, data)
+        await service.register("g", data)
+        await service.subscribe("g", DEFAULT_PATTERN_ID, pattern)
         shadow = data.copy()
         rng = random.Random(SEED + num_nodes)
         nodes = sorted(shadow.nodes())

@@ -59,8 +59,9 @@ so lines never interleave mid-JSON.
 Two protection mechanisms keep a slow consumer (of settles) or an idle
 producer from degrading the whole server:
 
-* **Overload** — an ``update`` for a graph whose backlog (buffered
-  deltas + queued actions) is at ``max_pending`` is *refused* with
+* **Overload** — an ``update`` for a graph whose backlog (unsettled
+  deltas, whether buffered or in cut batches waiting for their settle,
+  plus queued actions) is at ``max_pending`` is *refused* with
   ``{"ok": false, "error": "overloaded", "overloaded": true,
   "retry_after": s}`` instead of queueing without bound.  The client
   owns the retry; the server's memory stays bounded.

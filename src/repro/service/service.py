@@ -21,16 +21,24 @@ continuously-available — and, with a journal directory configured,
   the key: the compaction snapshot becomes the base graph and the
   uncheckpointed tail is replayed through the normal admission path, so
   a crash loses nothing a receipt was issued for.
-* **Admission** — after every ingest the service consults the batch
-  planner (:func:`~repro.batching.planner.plan_batch`) on the buffered
-  batch's :class:`~repro.batching.planner.BatchStatistics`.  The buffer
-  is *cut* — swapped out and handed to the algorithm's
-  ``subsequent_query`` — when the planner's coalescing crossover is
-  reached, when the buffer hits ``max_buffer`` (capacity backstop), or
-  when the configured latency ``deadline`` expires.
-* **Settling, and what happens when it fails** — the cut batch settles
-  via the algorithm on an executor thread, serialized on the graph's
-  queue.  A settle that raises is retried with capped exponential
+* **Admission** — after every ingest the service checks whether the
+  buffered batch should be *cut*: swapped out and queued for the
+  algorithm's ``subsequent_query``.  It cuts when the buffer hits
+  ``max_buffer`` (capacity backstop), when the batch planner
+  (:func:`~repro.batching.planner.plan_batch`) routes the buffered
+  batch off per-update maintenance (the coalescing crossover), or when
+  the configured latency ``deadline`` expires.  A buffer smaller than
+  the planner's crossover size is per-update by the planner's rule 1,
+  so admission skips the planner until the buffer reaches it.
+* **Settling, and what happens when it fails** — cut batches queue on
+  the session in cut order, and one settle action takes every batch
+  already queued (up to ``max_buffer`` deltas) and settles their
+  concatenation *once*: a backlog that cut several times before its
+  first settle ran pays one ``SLen`` pass, one publish and one
+  checkpoint, not one per cut.  A caller that awaits each receipt never
+  has two cuts queued, so its settle boundaries are unchanged.  The
+  settle runs via the algorithm on an executor thread, serialized on
+  the graph's queue.  A settle that raises is retried with capped exponential
   backoff against a restored copy of the last good state; if the batch
   still fails, it is bisected to isolate the *poison* deltas, which are
   durably recorded in the graph's
@@ -71,7 +79,9 @@ continuously-available — and, with a journal directory configured,
 from __future__ import annotations
 
 import asyncio
+import contextlib
 import functools
+import itertools
 import logging
 from collections import Counter
 from collections.abc import Iterable, Mapping
@@ -158,7 +168,10 @@ class ServiceConfig:
         (lowest staleness, least coalescing benefit).
     max_buffer:
         Capacity backstop: the buffer is cut as soon as it holds this
-        many deltas regardless of planner or deadline.
+        many deltas regardless of planner or deadline.  It also caps one
+        settle: a settle that merges queued cut batches takes them only
+        while their total stays within this many deltas (at least one
+        batch), and leaves the rest to a follow-up settle.
     autocut:
         Whether admission cuts batches on its own (planner crossover
         and latency deadline).  Off, only the ``max_buffer`` capacity
@@ -378,6 +391,14 @@ class _GraphSession:
     journal: Optional[GraphJournal] = None
     dead_letter: Optional[DeadLetterJournal] = None
     buffer: UpdateBatch = field(default_factory=UpdateBatch)
+    #: Cut batches not yet settled, ``(batch, seq_high)`` in cut order.
+    #: The cut that finds this empty queues the settle action that
+    #: takes them.
+    cuts: list[tuple[UpdateBatch, int]] = field(default_factory=list)
+    #: Deltas in the cut batch the running settle action took.
+    settling: int = 0
+    #: Cut batches absorbed into an earlier cut's settle.
+    merged_cuts: int = 0
     #: Bumped on every cut; lets an expired deadline recognise that the
     #: buffer it armed for was already cut.
     generation: int = 0
@@ -568,10 +589,16 @@ class StreamingUpdateService:
                 len(recovered.tail),
                 recovered.checkpoint_seq,
             )
-            for seq, updates in recovered.tail:
-                await self._scheduler.schedule(
-                    key, functools.partial(self._replay_ingest, session, updates, seq)
+            # Queued all at once, so the cuts they make merge into
+            # settles the way a live backlog's do.
+            await asyncio.gather(
+                *(
+                    self._scheduler.schedule(
+                        key, functools.partial(self._replay_ingest, session, updates, seq)
+                    )
+                    for seq, updates in recovered.tail
                 )
+            )
         return session.snapshot
 
     async def register_graph(
@@ -807,17 +834,19 @@ class StreamingUpdateService:
         Writes a fresh write-ahead journal for ``key`` under
         ``directory``: one compaction-style snapshot of the current
         settled state (graph, version, lifetime stamps, subscriptions),
-        then — if deltas are buffered — one delta record holding the
-        accepted-but-unsettled buffer, which is exactly the tail a
+        then — if deltas are unsettled — one delta record holding the
+        accepted-but-unsettled deltas (cut batches still waiting for
+        their settle, then the buffer), which is exactly the tail a
         journal-from-birth would carry at this moment.  From here on
         every accepted payload is journaled, settles checkpoint and
         compact, and the file is a valid replay source
         (:class:`~repro.replay.log.ReplayLog`) — no restart with
         :attr:`ServiceConfig.journal_dir` needed.
 
-        Serialized on the graph's queue, so the captured snapshot can
-        never miss an in-flight settle: any batch cut before this call
-        settles first.  Returns ``{"path", "base_seq", "last_seq"}``.
+        Serialized on the graph's queue, so the capture never
+        interleaves with a settle: a batch cut before this call is
+        either in the captured snapshot or in its tail.  Returns
+        ``{"path", "base_seq", "last_seq"}``.
         Raises :class:`ServiceError` if the graph is already journaled
         (including via ``journal_dir``).
         """
@@ -852,9 +881,11 @@ class StreamingUpdateService:
                 ],
             ),
         )
-        if len(session.buffer):
+        unsettled = [update for batch, _ in session.cuts for update in batch]
+        unsettled.extend(session.buffer)
+        if unsettled:
             session.last_seq = await loop.run_in_executor(
-                None, journal.append_delta, list(session.buffer)
+                None, journal.append_delta, unsettled
             )
         session.journal = journal
         session.dead_letter = DeadLetterJournal(
@@ -943,14 +974,19 @@ class StreamingUpdateService:
         return self._scheduler.schedule(key, lambda: self._ingest(session, data))
 
     def backlog(self, key: str) -> int:
-        """Pending work on ``key``: buffered deltas + queued actions.
+        """Pending work on ``key``: unsettled deltas + queued actions.
 
-        The TCP front end uses this as its overload signal — it refuses
-        new update requests with a ``retry_after`` hint instead of
-        queueing without bound.
+        Unsettled deltas are the buffered ones plus those in cut batches
+        that have not settled yet.  They are counted, not the settle
+        actions, because one settle action can carry many cut batches.
+        Queued actions are mostly ingests whose deltas are not buffered
+        yet.  The TCP front end uses this as its overload signal — it
+        refuses new update requests with a ``retry_after`` hint instead
+        of queueing without bound.
         """
         session = self._session(key)
-        return len(session.buffer) + self._scheduler.queue(key).pending
+        cut = session.settling + sum(len(batch) for batch, _ in session.cuts)
+        return len(session.buffer) + cut + self._scheduler.queue(key).pending
 
     async def _ingest(self, session: _GraphSession, data: UpdateData) -> IngestReceipt:
         """Queue action: validate, journal, buffer, and maybe cut."""
@@ -1028,22 +1064,25 @@ class StreamingUpdateService:
             # Externally-paced mode (replay): boundaries come from
             # drain(), never from the planner or a deadline.
             return None
-        statistics = BatchStatistics.from_updates(
-            session.buffer,
-            node_count=session.staged.number_of_nodes,
-            backend=algorithm.slen_backend,
-            partition_available=algorithm.uses_partition,
-        )
-        plan = plan_batch(
-            statistics,
-            requested=STRATEGY_AUTO,
-            min_batch=self.config.coalesce_min_batch,
-            model=algorithm.cost_model,
-        )
-        if plan.strategy != STRATEGY_PER_UPDATE:
-            # Past the coalescing crossover: the batch is now cheaper
-            # settled as a whole than it would be growing further.
-            return self._cut(session, CUT_CROSSOVER)
+        # The planner's rule 1 routes any batch smaller than this to
+        # per-update, so only a buffer this large is worth planning.
+        if len(session.buffer) >= max(2, self.config.coalesce_min_batch):
+            statistics = BatchStatistics.from_updates(
+                session.buffer,
+                node_count=session.staged.number_of_nodes,
+                backend=algorithm.slen_backend,
+                partition_available=algorithm.uses_partition,
+            )
+            plan = plan_batch(
+                statistics,
+                requested=STRATEGY_AUTO,
+                min_batch=self.config.coalesce_min_batch,
+                model=algorithm.cost_model,
+            )
+            if plan.strategy != STRATEGY_PER_UPDATE:
+                # Past the coalescing crossover: the batch is now cheaper
+                # settled as a whole than it would be growing further.
+                return self._cut(session, CUT_CROSSOVER)
         if self.config.deadline_seconds <= 0:
             return self._cut(session, CUT_DEADLINE)
         if session.deadline_handle is None:
@@ -1079,23 +1118,67 @@ class StreamingUpdateService:
             self._cut(session, CUT_DEADLINE)
 
     def _cut(self, session: _GraphSession, reason: str) -> str:
-        """Swap the buffer out and schedule its settle.  Serialized."""
-        batch = session.buffer
-        seq_high = session.last_seq
+        """Swap the buffer out and queue it for settling.  Serialized.
+
+        Only the cut that finds no other cut batch waiting schedules a
+        settle action; later cuts ride along with it.
+        """
+        session.cuts.append((session.buffer, session.last_seq))
         session.buffer = UpdateBatch()
         session.generation += 1
         if session.deadline_handle is not None:
             session.deadline_handle.cancel()
             session.deadline_handle = None
         session.cut_reasons[reason] += 1
-        self._scheduler.schedule(
-            session.key, functools.partial(self._settle, session, batch, seq_high)
-        )
+        if len(session.cuts) == 1:
+            self._schedule_settle(session)
         return reason
 
+    def _schedule_settle(self, session: _GraphSession) -> None:
+        self._scheduler.schedule(
+            session.key, functools.partial(self._settle_cuts, session)
+        )
+
     # ------------------------------------------------------------------
-    # Settling: retries, bisection, quarantine, checkpointing
+    # Settling: merging, retries, bisection, quarantine, checkpointing
     # ------------------------------------------------------------------
+    async def _settle_cuts(self, session: _GraphSession) -> None:
+        """Queue action: settle the queued cut batches as one batch.
+
+        Takes cut batches in cut order while their total stays within
+        ``max_buffer`` deltas (always at least one) and settles their
+        concatenation once, checkpointing the last batch's seq.  Cut
+        batches left over get a follow-up action.  Batches that do not
+        concatenate — an :class:`UpdateError`, which staged validation
+        should make unreachable — settle one by one, as they were cut.
+        """
+        cuts = session.cuts
+        take, size = 1, len(cuts[0][0])
+        while take < len(cuts) and size + len(cuts[take][0]) <= self.config.max_buffer:
+            size += len(cuts[take][0])
+            take += 1
+        if take > 1:
+            try:
+                merged = UpdateBatch(
+                    itertools.chain.from_iterable(batch for batch, _ in cuts[:take])
+                )
+            except UpdateError:
+                pass  # leave the batches as cut; the loop settles each
+            else:
+                cuts[:take] = [(merged, cuts[take - 1][1])]
+                session.merged_cuts += take - 1
+                take = 1
+        try:
+            for _ in range(take):
+                batch, seq_high = cuts.pop(0)
+                session.settling = len(batch)
+                await self._settle(session, batch, seq_high)
+        finally:
+            session.settling = 0
+            if cuts:
+                with contextlib.suppress(QueueClosedError):
+                    self._schedule_settle(session)
+
     async def _settle(
         self, session: _GraphSession, batch: UpdateBatch, seq_high: int
     ) -> None:
@@ -1600,6 +1683,7 @@ class StreamingUpdateService:
                 1 for error_key, _ in self._scheduler.errors if error_key == key
             ),
             "cut_reasons": dict(session.cut_reasons),
+            "merged_cuts": session.merged_cuts,
             "journal": journal_stats,
         }
 

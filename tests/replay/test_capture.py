@@ -6,6 +6,7 @@ as the first delta record, every subsequent payload journaled, and a
 faithful replay of its window reproducing the live session exactly.
 """
 
+import asyncio
 import json
 
 import pytest
@@ -128,6 +129,41 @@ def test_capture_journal_is_a_recovery_source(tmp_path):
         assert observed_matches(recovered, "g") == live["matches"]
         assert snapshot.version >= live["version"]
         await recovered.close()
+
+    run(scenario())
+
+
+def test_capture_records_cut_batches_still_waiting_for_their_settle(tmp_path):
+    async def scenario():
+        # EAGER cuts every payload.  All ingests are queued ahead of the
+        # capture, and the first cut queues its settle behind it, so the
+        # capture runs while every cut batch still waits to settle.
+        service, graph = await start_service(dict(**EAGER))
+        receipts = [
+            service.submit_nowait("g", payload) for payload in payloads_for(graph, 4)
+        ]
+        info = await service.start_capture("g", tmp_path)
+        cuts = [receipt.cut for receipt in await asyncio.gather(*receipts)]
+        await service.drain()
+        live_graph = service.snapshot("g").data.copy()
+        live_matches = observed_matches(service, "g")
+        settles = service.stats("g")["settles"]
+        await service.close()
+
+        recovered = StreamingUpdateService(
+            ServiceConfig(journal_dir=str(tmp_path), **EAGER)
+        )
+        await recovered.register("g", make_graph())
+        await recovered.drain()
+        recovered_graph = recovered.snapshot("g").data
+        recovered_matches = observed_matches(recovered, "g")
+        await recovered.close()
+
+        assert all(cuts) and settles == 1
+        # The waiting cut batches are the capture's first delta record.
+        assert info["last_seq"] == info["base_seq"] + 1
+        assert recovered_graph == live_graph
+        assert recovered_matches == live_matches
 
     run(scenario())
 

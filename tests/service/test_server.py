@@ -199,6 +199,102 @@ def test_server_refuses_updates_when_overloaded():
     asyncio.run(scenario())
 
 
+def test_server_counts_deltas_in_merged_cut_batches_as_backlog():
+    async def scenario():
+        # Zero deadline: every 2-delta payload is its own cut batch.
+        # The first settle blocks until released, so the three cut
+        # batches it merged stay unsettled while the client pipelines.
+        import threading
+
+        from repro.service.service import default_algorithm_factory
+
+        settle_started = asyncio.Event()
+        release_settle = threading.Event()
+        loop = asyncio.get_running_loop()
+
+        def gated_factory(pattern, data, config, telemetry):
+            algorithm = default_algorithm_factory(pattern, data, config, telemetry)
+            inner = algorithm.subsequent_query
+
+            def gated(batch):
+                loop.call_soon_threadsafe(settle_started.set)
+                release_settle.wait(timeout=10)
+                return inner(batch)
+
+            algorithm.subsequent_query = gated
+            return algorithm
+
+        service = StreamingUpdateService(
+            ServiceConfig(deadline_seconds=0.0, max_buffer=10_000, coalesce_min_batch=10_000),
+            algorithm_factory=gated_factory,
+        )
+        await service.register("g", make_data())
+        await service.subscribe("g", "default", make_pattern())
+        # Below the six unsettled deltas, above the one settle action
+        # that carries them.
+        server = ServiceServer(service, port=0, max_pending=4)
+        host, port = await server.start()
+        reader, writer = await asyncio.open_connection(host, port)
+        client = Client(reader, writer)
+
+        pairs = [("n0", "n2"), ("n0", "n3"), ("n1", "n3"), ("n1", "n4"), ("n2", "n4"), ("n2", "n5")]
+        try:
+            cuts = [
+                service.submit_nowait(
+                    "g",
+                    {"inserts": [{"type": "edge", "source": s, "target": t} for s, t in pair]},
+                )
+                for pair in (pairs[0:2], pairs[2:4], pairs[4:6])
+            ]
+            await asyncio.wait_for(settle_started.wait(), timeout=10)
+            assert all(receipt.result().cut == "deadline" for receipt in cuts)
+            assert service.backlog("g") >= 6
+
+            # Pipeline cut-sized updates without waiting for replies.
+            probes = [("n3", "n5"), ("n3", "n0"), ("n4", "n0")]
+            for source, target in probes:
+                writer.write(
+                    json.dumps(
+                        {
+                            "op": "update",
+                            "graph": "g",
+                            "inserts": [{"type": "edge", "source": source, "target": target}],
+                        }
+                    ).encode()
+                    + b"\n"
+                )
+            await writer.drain()
+            replies = [
+                json.loads(await asyncio.wait_for(reader.readline(), timeout=2)) for _ in probes
+            ]
+            assert [reply.get("overloaded") for reply in replies] == [True] * len(probes)
+            assert server.overload_rejections == len(probes)
+
+            release_settle.set()
+            await service.drain()
+            stats = await client.call({"op": "stats", "graph": "g"})
+            assert stats["merged_cuts"] == 2
+            assert stats["settles"] == 1
+            assert service.backlog("g") == 0
+            accepted = await client.call(
+                {
+                    "op": "update",
+                    "graph": "g",
+                    "inserts": [{"type": "edge", "source": "n3", "target": "n5"}],
+                }
+            )
+            assert accepted["ok"] and accepted["accepted"] == 1
+        finally:
+            # Unblock and stop everything even when an assertion failed,
+            # so a failure reports instead of hanging the event loop.
+            release_settle.set()
+            await client.close()
+            await server.close()
+            await service.close()
+
+    asyncio.run(scenario())
+
+
 def test_server_closes_idle_connections():
     async def scenario():
         service = StreamingUpdateService(

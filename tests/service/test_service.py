@@ -1,12 +1,21 @@
-"""StreamingUpdateService: serialization, admission, drain, non-blocking reads."""
+"""StreamingUpdateService: serialization, admission, group settle, drain, non-blocking reads."""
 
 import asyncio
+import dataclasses
 import time
 
 import pytest
 
+from repro.batching.coalesce import DEFAULT_COALESCE_MIN_BATCH
+from repro.batching.planner import (
+    DEFAULT_COST_MODEL,
+    STRATEGY_PER_UPDATE,
+    BatchStatistics,
+    plan_batch,
+)
 from repro.graph import DataGraph, PatternGraph
-from repro.matching import bounded_simulation
+from repro.graph.updates import EdgeDeletion, GraphKind, UpdateBatch
+from repro.matching import bounded_simulation, gpnm_query
 from repro.service import (
     CUT_CAPACITY,
     CUT_CROSSOVER,
@@ -17,6 +26,7 @@ from repro.service import (
     ServiceError,
     StreamingUpdateService,
 )
+from repro.service.faults import flaky_algorithm_factory
 from repro.service.service import default_algorithm_factory
 from repro.spl.matrix import SLenMatrix
 
@@ -37,6 +47,15 @@ def make_pattern() -> PatternGraph:
     pattern.add_node("p1", "B")
     pattern.add_edge("p0", "p1", 2)
     return pattern
+
+
+def make_braided_ring(num_nodes: int = 40) -> DataGraph:
+    """A ring plus chords two and three nodes ahead: ``3 * num_nodes`` edges."""
+    data = make_data(num_nodes)
+    for i in range(num_nodes):
+        for stride in (2, 3):
+            data.add_edge(f"n{i}", f"n{(i + stride) % num_nodes}")
+    return data
 
 
 def edge_spec(source: str, target: str) -> dict:
@@ -431,5 +450,240 @@ def test_telemetry_is_saved_on_close(tmp_path):
         from repro.batching.telemetry import TelemetryLog
 
         assert len(TelemetryLog.load(path)) >= 1
+
+    run(scenario())
+
+
+# ----------------------------------------------------------------------
+# Admission fast path: small buffers skip the planner, same decisions
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize("eager_model", [False, True], ids=["shipped-model", "zero-overhead-model"])
+@pytest.mark.parametrize("min_batch", [DEFAULT_COALESCE_MIN_BATCH, 0, 1, 5])
+def test_admission_cuts_exactly_when_the_planner_leaves_per_update(
+    tmp_path, monkeypatch, min_batch, eager_model
+):
+    # The zero-overhead model prices coalescing below per-update for any
+    # batch rule 1 lets through, so it pins the fast path's boundary.
+    model_path = None
+    if eager_model:
+        model_path = tmp_path / "eager_model.json"
+        dataclasses.replace(
+            DEFAULT_COST_MODEL, coalesce_fixed_overhead=0.0, partition_fixed_overhead=0.0
+        ).save_json(model_path)
+
+    async def scenario():
+        data = make_braided_ring(40)
+        deletions = [
+            EdgeDeletion(graph=GraphKind.DATA, source=source, target=target)
+            for source, target in sorted(data.edges())
+        ]
+        service = StreamingUpdateService(
+            ServiceConfig(
+                deadline_seconds=30.0,
+                max_buffer=10_000,
+                coalesce_min_batch=min_batch,
+                cost_model_path=str(model_path) if model_path else None,
+            )
+        )
+        await service.register("g", data)
+        # Observe the decision only: no settle, no deadline timer.
+        monkeypatch.setattr(service, "_cut", lambda session, reason: reason)
+        monkeypatch.setattr(service, "_arm_deadline", lambda session: None)
+        session = service._session("g")
+        algorithm = session.algorithm
+        decisions = []
+        for size in range(min_batch + 3):
+            session.buffer = UpdateBatch(deletions[:size])
+            plan = plan_batch(
+                BatchStatistics.from_updates(
+                    session.buffer,
+                    node_count=session.staged.number_of_nodes,
+                    backend=algorithm.slen_backend,
+                    partition_available=algorithm.uses_partition,
+                ),
+                min_batch=min_batch,
+                model=algorithm.cost_model,
+            )
+            planned = CUT_CROSSOVER if size and plan.strategy != STRATEGY_PER_UPDATE else None
+            assert service._admit(session) == planned, f"buffer of {size}"
+            decisions.append(planned)
+        if eager_model or min_batch == DEFAULT_COALESCE_MIN_BATCH:
+            assert CUT_CROSSOVER in decisions  # the comparison covers a cut
+        session.buffer = UpdateBatch()
+        await service.close()
+
+    run(scenario())
+
+
+# ----------------------------------------------------------------------
+# Group settle: cut batches queued behind one settle merge into it
+# ----------------------------------------------------------------------
+#: Crossover cuts at 30 deletions per payload (the shipped cost model
+#: prices 30 deletions coalesced below per-update at any graph size).
+CROSSOVER_DELETES = 30
+
+
+def deletion_payloads(data: DataGraph, groups: int) -> list[dict]:
+    """``groups`` disjoint payloads of ``CROSSOVER_DELETES`` edge deletions."""
+    edges = sorted(data.edges())
+    return [
+        {
+            "deletes": [
+                edge_spec(source, target)
+                for source, target in edges[g * CROSSOVER_DELETES:(g + 1) * CROSSOVER_DELETES]
+            ]
+        }
+        for g in range(groups)
+    ]
+
+
+def recording_factory(sizes: list[int]):
+    """The stock factory, recording the size of every settled batch."""
+
+    def factory(pattern, data, config, telemetry):
+        algorithm = default_algorithm_factory(pattern, data, config, telemetry)
+        inner = algorithm.subsequent_query
+
+        def recorded(batch):
+            sizes.append(len(batch))
+            return inner(batch)
+
+        algorithm.subsequent_query = recorded
+        return algorithm
+
+    return factory
+
+
+CROSSOVER = dict(deadline_seconds=30.0, max_buffer=10_000, coalesce_min_batch=4)
+
+
+def test_pipelined_crossover_cuts_settle_once_and_recover(tmp_path):
+    async def scenario():
+        data = make_braided_ring(40)
+        groups = 4
+        payloads = deletion_payloads(data, groups)
+        expected = data.copy()
+        for payload in payloads:
+            for spec in payload["deletes"]:
+                expected.remove_edge(spec["source"], spec["target"])
+        config = ServiceConfig(journal_dir=str(tmp_path), **CROSSOVER)
+        service = StreamingUpdateService(config)
+        await service.register("g", data)
+        await service.subscribe("g", "p", make_pattern())
+
+        receipts = await asyncio.gather(
+            *(service.submit_nowait("g", payload) for payload in payloads)
+        )
+        assert [receipt.cut for receipt in receipts] == [CUT_CROSSOVER] * groups
+        last_payload_seq = service.stats("g")["journal"]["last_seq"]
+        await service.drain()
+
+        stats = service.stats("g")
+        assert stats["settles"] == 1
+        assert stats["cut_reasons"] == {CUT_CROSSOVER: groups}
+        assert stats["merged_cuts"] == groups - 1
+        assert stats["settled"] == stats["accepted"] == groups * CROSSOVER_DELETES
+        assert stats["journal"]["checkpoint_seq"] == last_payload_seq
+        snapshot = service.snapshot("g")
+        assert snapshot.version == 1
+        assert snapshot.data == expected
+        assert snapshot.slen == SLenMatrix.from_graph(expected)
+        matches = snapshot.state_for("p").result
+        assert matches == gpnm_query(make_pattern(), expected)
+        await service.close()
+
+        recovered = StreamingUpdateService(config)
+        await recovered.register("g", data)
+        await recovered.drain()
+        assert recovered.snapshot("g").data == expected
+        assert recovered.snapshot("g").state_for("p").result == matches
+        await recovered.close()
+
+    run(scenario())
+
+
+def test_max_buffer_caps_every_merged_settle():
+    async def scenario():
+        data = make_braided_ring(40)
+        sizes: list[int] = []
+        max_buffer = 2 * CROSSOVER_DELETES + 10
+        service = StreamingUpdateService(
+            ServiceConfig(**{**CROSSOVER, "max_buffer": max_buffer}),
+            algorithm_factory=recording_factory(sizes),
+        )
+        await service.register("g", data)
+        payloads = deletion_payloads(data, 4)
+        await asyncio.gather(*(service.submit_nowait("g", payload) for payload in payloads))
+        await service.drain()
+
+        stats = service.stats("g")
+        assert stats["cut_reasons"] == {CUT_CROSSOVER: 4}
+        # Two cuts fit under the cap; the other two take a follow-up.
+        assert sizes == [2 * CROSSOVER_DELETES, 2 * CROSSOVER_DELETES]
+        assert all(size <= max_buffer for size in sizes)
+        assert stats["settles"] == 2
+        assert stats["merged_cuts"] == 2
+        assert stats["settled"] == stats["accepted"] == 4 * CROSSOVER_DELETES
+        await service.close()
+
+    run(scenario())
+
+
+def test_awaited_submits_keep_one_settle_and_version_per_cut():
+    async def scenario():
+        data = make_braided_ring(40)
+        sizes: list[int] = []
+        service = StreamingUpdateService(
+            ServiceConfig(**CROSSOVER), algorithm_factory=recording_factory(sizes)
+        )
+        await service.register("g", data)
+        for payload in deletion_payloads(data, 3):
+            receipt = await service.submit("g", payload)
+            assert receipt.cut == CUT_CROSSOVER
+        await service.drain()
+
+        stats = service.stats("g")
+        assert sizes == [CROSSOVER_DELETES] * 3
+        assert stats["settles"] == 3
+        assert stats["merged_cuts"] == 0
+        assert service.snapshot("g").version == 3
+        await service.close()
+
+    run(scenario())
+
+
+def test_poison_delta_in_a_merged_settle_is_quarantined_alone():
+    async def scenario():
+        data = make_braided_ring(40)
+        payloads = deletion_payloads(data, 3)
+        poison = payloads[1]["deletes"][7]
+
+        def is_poison(update):
+            return (
+                isinstance(update, EdgeDeletion)
+                and (update.source, update.target) == (poison["source"], poison["target"])
+            )
+
+        service = StreamingUpdateService(
+            ServiceConfig(settle_retries=0, **CROSSOVER),
+            algorithm_factory=flaky_algorithm_factory(default_algorithm_factory, poison=is_poison),
+        )
+        await service.register("g", data)
+        await asyncio.gather(*(service.submit_nowait("g", payload) for payload in payloads))
+        await service.drain()
+
+        stats = service.stats("g")
+        assert stats["merged_cuts"] == 2
+        assert stats["quarantined"] == 1
+        assert stats["settled"] == 3 * CROSSOVER_DELETES - 1
+        expected = data.copy()
+        for payload in payloads:
+            for spec in payload["deletes"]:
+                if spec is not poison:
+                    expected.remove_edge(spec["source"], spec["target"])
+        snapshot = service.snapshot("g")
+        assert snapshot.data == expected
+        assert snapshot.data.has_edge(poison["source"], poison["target"])
+        await service.close()
 
     run(scenario())
