@@ -15,8 +15,10 @@ is that switchboard:
   service instance (``await service.abort()``) and proves that a fresh
   instance recovers the journal to the oracle state.
 * **Torn writes** — :meth:`FaultInjector.arm_torn_append` makes the
-  journal write only a prefix of the next record before "crashing",
-  reproducing the half-a-line tail a real power loss leaves behind.
+  journal write only a prefix of its next append before "crashing",
+  reproducing the half-a-line tail a real power loss leaves behind.  An
+  append can carry several records (group commit); the prefix may end
+  inside any of them or exactly on a record boundary.
 * **Kernel faults** — :func:`flaky_algorithm_factory` wraps an
   algorithm factory so ``subsequent_query`` raises :class:`KernelFault`
   either for the first N settles (transient: proves retry) or whenever
@@ -96,6 +98,8 @@ class FaultInjector:
         self._armed: dict[str, int] = {}
         #: Remaining appends before the next append is torn (1 = next).
         self._torn_in: int = 0
+        #: How much of the torn append survives, in records.
+        self._torn_at: float = 0.5
         #: Observability: how often each point was reached (fired or not).
         self.hits: Counter = Counter()
 
@@ -108,9 +112,19 @@ class FaultInjector:
             raise ValueError(f"unknown crash point {point!r}; expected one of {CRASH_POINTS}")
         self._armed[point] = after + 1
 
-    def arm_torn_append(self, *, after: int = 0) -> None:
-        """Tear the ``after + 1``-th upcoming journal append mid-record."""
+    def arm_torn_append(self, *, after: int = 0, at: float = 0.5) -> None:
+        """Tear the ``after + 1``-th upcoming journal append mid-write.
+
+        ``at`` is how much of the append's records reach the disk: its
+        whole part counts complete records, its fraction the share of
+        the next record's bytes.  The default, half of the first
+        record, tears a one-record append in the middle; ``at=2.0``
+        keeps exactly two whole records of a group and drops the rest.
+        """
+        if at < 0:
+            raise ValueError("at must be non-negative")
         self._torn_in = after + 1
+        self._torn_at = at
 
     def disarm(self) -> None:
         """Clear every armed point (counters are kept)."""
@@ -132,15 +146,18 @@ class FaultInjector:
         del self._armed[point]
         raise InjectedCrash(point)
 
-    def take_torn_append(self) -> bool:
-        """Whether the journal should tear the append it is about to do.
+    def take_torn_append(self) -> Optional[float]:
+        """How much of the append about to run survives, or ``None``.
 
-        Consumes the arming when it fires, so exactly one append is torn.
+        ``None`` means the append is not torn.  Otherwise the journal
+        writes the returned records' worth (see
+        :meth:`arm_torn_append`) and dies.  Consumes the arming when it
+        fires, so exactly one append is torn.
         """
         if self._torn_in == 0:
-            return False
+            return None
         self._torn_in -= 1
-        return self._torn_in == 0
+        return self._torn_at if self._torn_in == 0 else None
 
 
 #: The default injector: never armed, shared by every service instance

@@ -8,9 +8,15 @@ discipline (the durable half of the KBase delta-load design,
 SNIPPETS.md §3):
 
 * **Append before receipt** — every accepted payload's updates are
-  serialized and fsync-appended as one ``delta`` record *before* the
+  serialized as one ``delta`` record and fsync-appended *before* the
   ingest receipt is returned.  Once a client holds a receipt, the delta
-  survives a crash.
+  survives a crash.  Payloads queued back to back share the append
+  (group commit): :meth:`GraphJournal.append_delta` writes one record
+  per payload with a single write and a single fsync, and no receipt
+  of the group exists before that fsync returns.  A crash or torn write
+  inside a group therefore loses at most an unreceipted suffix of it.
+  A write or fsync that fails closes the journal (fail-stop): what
+  reached the disk is unknown, and the next open decides.
 * **Checkpoint after settle** — when a batch settles, a ``checkpoint``
   record (highest settled delta ``seq`` + graph version + batch id) is
   appended.  Recovery replays only the records *after* the last
@@ -68,6 +74,7 @@ that supersedes them, so "removed from the stream" never means "lost".
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
 import re
@@ -480,8 +487,11 @@ class GraphJournal:
         #: retained so compaction can rewrite the tail without
         #: re-reading the file.  Bounded by the uncheckpointed tail.
         self._pending: dict[int, list[dict]] = {}
-        # Counters surfaced through the service's stats.
+        # Counters surfaced through the service's stats.  ``appends``
+        # counts records, ``fsyncs`` the fsyncs that made them durable,
+        # so ``appends / fsyncs`` is the mean group-commit size.
         self.appends = 0
+        self.fsyncs = 0
         self.checkpoints = 0
         self.compactions = 0
         self.torn_lines = 0
@@ -577,48 +587,58 @@ class GraphJournal:
         """The highest checkpointed delta seq."""
         return self._checkpoint_seq
 
-    def append_delta(self, updates: list[Update]) -> int:
-        """Durably append one accepted payload's updates; returns its seq.
+    def append_delta(self, updates: list[Update], *more: list[Update]) -> int:
+        """Durably append accepted payloads' updates; returns the last seq.
 
-        When this returns, the record is fsynced — the service may issue
-        the receipt.  Crash points: ``pre-append`` fires before any
-        bytes are written (the delta is lost, which is allowed because
-        no receipt exists yet); ``post-append`` fires after the fsync
-        (the delta is durable, recovery must replay it); a torn append
-        writes a record prefix and "dies", leaving the tail recovery
+        Each payload (``updates``, then every one of ``more``) becomes
+        one ``delta`` record with the next seq, and the records go out
+        in one write and one fsync (group commit).  When this returns,
+        every record is fsynced — the service may issue the receipts.
+        Crash points: ``pre-append`` fires before any bytes are written
+        (the payloads are lost, which is allowed because no receipt
+        exists yet); ``post-append`` fires after the fsync (the
+        payloads are durable, recovery must replay them); a torn append
+        writes a prefix of the group's bytes and "dies", leaving whole
+        records of a group prefix and possibly a partial line recovery
         must truncate.
         """
         self._ensure_open()
         self._faults.hit(PRE_APPEND)
-        docs = [update_to_doc(update) for update in updates]
-        seq = self._next_seq
-        record = {"t": "delta", "seq": seq, "updates": docs}
-        payload = (json.dumps(record) + "\n").encode("utf-8")
-        if self._faults.take_torn_append():
-            # Simulate the power failing mid-write: a prefix of the
-            # record reaches the disk, the newline never does.
-            self._handle.write(payload[: max(1, len(payload) // 2)])
-            self._handle.flush()
-            os.fsync(self._handle.fileno())
+        first = self._next_seq
+        records = {
+            first + offset: [update_to_doc(update) for update in payload]
+            for offset, payload in enumerate((updates, *more))
+        }
+        lines = [
+            (json.dumps({"t": "delta", "seq": seq, "updates": docs}) + "\n").encode("utf-8")
+            for seq, docs in records.items()
+        ]
+        tear = self._faults.take_torn_append()
+        if tear is not None:
+            # Simulate the power failing mid-write: ``tear`` records'
+            # worth of the group reaches the disk, the rest never does.
+            whole = int(tear)
+            prefix = b"".join(lines[:whole])
+            if whole < len(lines):
+                prefix += lines[whole][: int(len(lines[whole]) * (tear - whole))]
+            self._write_durable(prefix)
             raise InjectedCrash("torn-append")
-        self._handle.write(payload)
-        self._handle.flush()
-        os.fsync(self._handle.fileno())
-        self._next_seq = seq + 1
+        payload = b"".join(lines)
+        self._write_durable(payload)
+        self._next_seq = first + len(records)
         self._bytes += len(payload)
-        self._pending[seq] = docs
-        self.appends += 1
+        self._pending.update(records)
+        self.appends += len(records)
+        self.fsyncs += 1
         self._faults.hit(POST_APPEND)
-        return seq
+        return self.last_seq
 
     def checkpoint(self, seq: int, version: int, batch_id: int) -> None:
         """Record that every delta up to ``seq`` is settled (durably)."""
         self._ensure_open()
         record = {"t": "checkpoint", "seq": seq, "version": version, "batch": batch_id}
         payload = (json.dumps(record) + "\n").encode("utf-8")
-        self._handle.write(payload)
-        self._handle.flush()
-        os.fsync(self._handle.fileno())
+        self._write_durable(payload)
         self._bytes += len(payload)
         self._checkpoint_seq = max(self._checkpoint_seq, seq)
         for pending_seq in [s for s in self._pending if s <= seq]:
@@ -649,13 +669,32 @@ class GraphJournal:
         seq = self._next_seq
         record = {**record, "seq": seq}
         payload = (json.dumps(record) + "\n").encode("utf-8")
-        self._handle.write(payload)
-        self._handle.flush()
-        os.fsync(self._handle.fileno())
+        self._write_durable(payload)
         self._next_seq = seq + 1
         self._bytes += len(payload)
         self.appends += 1
+        self.fsyncs += 1
         return seq
+
+    def _write_durable(self, payload: bytes) -> None:
+        """Write ``payload`` to the append handle and fsync it.
+
+        A write or fsync that fails closes the journal, so every later
+        append or checkpoint raises :class:`JournalError`: how much of
+        ``payload`` reached the disk is unknown (a failed fsync may even
+        drop pages it had accepted), and records appended behind it
+        could reuse its seqs.  The next :meth:`open` decides what
+        survived.
+        """
+        try:
+            self._handle.write(payload)
+            self._handle.flush()
+            os.fsync(self._handle.fileno())
+        except OSError:
+            handle, self._handle = self._handle, None
+            with contextlib.suppress(OSError):
+                handle.close()
+            raise
 
     def should_compact(self) -> bool:
         """Whether the log is both oversized and compactable."""

@@ -55,6 +55,8 @@ class ActionQueue:
         self._unfinished = 0
         self._idle = asyncio.Event()
         self._idle.set()
+        #: The future of the last scheduled action until it starts.
+        self._waiting_tail: Optional[asyncio.Future] = None
 
     # ------------------------------------------------------------------
     # Scheduling
@@ -74,11 +76,22 @@ class ActionQueue:
         self._unfinished += 1
         self._idle.clear()
         self._queue.put_nowait((factory, future))
+        self._waiting_tail = future
         if self._worker is None:
             self._worker = asyncio.get_running_loop().create_task(
                 self._run(), name=f"action-queue:{self.name}"
             )
         return future
+
+    @property
+    def waiting_tail(self) -> "Optional[asyncio.Future[Any]]":
+        """The last scheduled action's future, while that action has not started.
+
+        ``None`` once it has started (or when nothing was scheduled).
+        A caller that gets its own future back knows nothing else was
+        scheduled behind it, so it may still add work to that action.
+        """
+        return self._waiting_tail
 
     @staticmethod
     def _consume_outcome(future: "asyncio.Future[Any]") -> None:
@@ -94,8 +107,15 @@ class ActionQueue:
             if item is None:
                 break
             factory, future = item
+            if future is self._waiting_tail:
+                self._waiting_tail = None
             try:
                 result = await factory()
+            except asyncio.CancelledError:
+                # The worker itself is being cancelled (abort, or a
+                # caller's cancel): the action dies with it.
+                future.cancel()
+                raise
             except BaseException as exc:  # noqa: BLE001 - routed to the future
                 if not future.cancelled():
                     future.set_exception(exc)
@@ -155,6 +175,7 @@ class ActionQueue:
             except asyncio.CancelledError:
                 pass
             self._worker = None
+        self._waiting_tail = None
         while not self._queue.empty():
             item = self._queue.get_nowait()
             if item is None:

@@ -12,13 +12,15 @@ continuously-available — and, with a journal directory configured,
   buffer.  All mutation runs as actions on the graph's serialized
   :class:`~repro.service.queue.ActionQueue`, so concurrent submitters
   to one graph are applied in a single well-defined order while distinct
-  graphs proceed independently.
+  graphs proceed independently.  Payloads submitted back to back, with
+  nothing else scheduled between them, join one ingest action.
 * **Durability** — with :attr:`ServiceConfig.journal_dir` set, every
   accepted payload is fsync-appended to the graph's write-ahead
   :class:`~repro.service.journal.GraphJournal` *before* its receipt is
-  returned; settles append a checkpoint record and trigger size-bounded
-  compaction.  :meth:`register_graph` recovers any journal found for
-  the key: the compaction snapshot becomes the base graph and the
+  returned; the payloads of one ingest action share one write and one
+  fsync (group commit).  Settles append a checkpoint record and trigger
+  size-bounded compaction.  :meth:`register_graph` recovers any journal
+  found for the key: the compaction snapshot becomes the base graph and the
   uncheckpointed tail is replayed through the normal admission path, so
   a crash loses nothing a receipt was issued for.
 * **Admission** — after every ingest the service checks whether the
@@ -368,7 +370,8 @@ class IngestReceipt:
 
     When the service runs with a journal, a receipt with ``accepted >
     0`` is a *durability* promise: the accepted deltas were fsynced to
-    the write-ahead journal before this receipt was created.
+    the write-ahead journal, together with the rest of their ingest
+    group, before this receipt was created.
     """
 
     accepted: int
@@ -376,6 +379,34 @@ class IngestReceipt:
     pending: int
     cut: Optional[str] = None
     errors: tuple[str, ...] = ()
+
+
+@dataclass
+class _IngestGroup:
+    """Payloads submitted back to back on one graph, ingested by one action."""
+
+    #: ``(payload, receipt future)`` in submission order.
+    members: list[tuple[UpdateData, asyncio.Future]] = field(default_factory=list)
+    #: Deltas across ``members`` (the backlog they will add).
+    deltas: int = 0
+    #: The queue future of the action that ingests the group.
+    action: Optional[asyncio.Future] = None
+
+    def fail(self, action: asyncio.Future) -> None:
+        """Done-callback of ``action``: hand its failure to every open receipt.
+
+        A failed receipt's exception is marked retrieved at once, so a
+        caller may drop the receipt (fire and forget) without asyncio
+        logging it; a caller that awaits it still gets the exception.
+        """
+        for _, receipt in self.members:
+            if receipt.done():
+                continue
+            if action.cancelled():
+                receipt.cancel()
+            elif action.exception() is not None:
+                receipt.set_exception(action.exception())
+                receipt.exception()
 
 
 @dataclass
@@ -392,9 +423,12 @@ class _GraphSession:
     dead_letter: Optional[DeadLetterJournal] = None
     buffer: UpdateBatch = field(default_factory=UpdateBatch)
     #: Cut batches not yet settled, ``(batch, seq_high)`` in cut order.
-    #: The cut that finds this empty queues the settle action that
-    #: takes them.
     cuts: list[tuple[UpdateBatch, int]] = field(default_factory=list)
+    #: Whether a settle action for ``cuts`` is scheduled and not started.
+    settle_queued: bool = False
+    #: Ingest groups scheduled but not started, in queue order.  New
+    #: submits join the last one while its action is the queue's tail.
+    waiting_groups: list[_IngestGroup] = field(default_factory=list)
     #: Deltas in the cut batch the running settle action took.
     settling: int = 0
     #: Cut batches absorbed into an earlier cut's settle.
@@ -953,77 +987,99 @@ class StreamingUpdateService:
         with a journal configured, accepted deltas are durable before
         the receipt exists.
         """
-        session = self._session(key)
-        data = payload if isinstance(payload, UpdateData) else UpdateData(payload, default_graph=key)
-        if data.graph is not None and data.graph != key:
-            raise DeltaError(
-                f"payload addresses graph {data.graph!r} but was submitted to {key!r}"
-            )
-        return await self._scheduler.schedule(
-            key, lambda: self._ingest(session, data)
-        )
+        return await self.submit_nowait(key, payload)
 
     def submit_nowait(self, key: str, payload) -> "asyncio.Future[IngestReceipt]":
-        """Fire-and-forget :meth:`submit`; the receipt future may be dropped."""
+        """Fire-and-forget :meth:`submit`; the receipt future may be dropped.
+
+        The payload joins the graph's open ingest group when that
+        group's action is still the last thing scheduled on the queue
+        and has not started; otherwise it opens a new group.  Any other
+        action scheduled in between closes the group, so ordering
+        against cuts, settles and subscriptions is unchanged.
+        """
         session = self._session(key)
         data = payload if isinstance(payload, UpdateData) else UpdateData(payload, default_graph=key)
         if data.graph is not None and data.graph != key:
             raise DeltaError(
                 f"payload addresses graph {data.graph!r} but was submitted to {key!r}"
             )
-        return self._scheduler.schedule(key, lambda: self._ingest(session, data))
+        waiting = session.waiting_groups
+        if waiting and waiting[-1].action is self._scheduler.queue(key).waiting_tail:
+            group = waiting[-1]
+        else:
+            group = _IngestGroup()
+            group.action = self._scheduler.schedule(
+                key, functools.partial(self._ingest_group, session, group)
+            )
+            group.action.add_done_callback(group.fail)
+            waiting.append(group)
+        receipt = asyncio.get_running_loop().create_future()
+        group.members.append((data, receipt))
+        group.deltas += len(data)
+        return receipt
 
     def backlog(self, key: str) -> int:
-        """Pending work on ``key``: unsettled deltas + queued actions.
+        """Pending work on ``key``: unsettled deltas + queued work.
 
         Unsettled deltas are the buffered ones plus those in cut batches
         that have not settled yet.  They are counted, not the settle
         actions, because one settle action can carry many cut batches.
-        Queued actions are mostly ingests whose deltas are not buffered
-        yet.  The TCP front end uses this as its overload signal — it
-        refuses new update requests with a ``retry_after`` hint instead
-        of queueing without bound.
+        Likewise an ingest group that has not started counts its
+        payloads' deltas, not its one action.  The other queued actions
+        count one each.  The TCP front end uses this as its overload
+        signal — it refuses new update requests with a ``retry_after``
+        hint instead of queueing without bound.
         """
         session = self._session(key)
         cut = session.settling + sum(len(batch) for batch, _ in session.cuts)
-        return len(session.buffer) + cut + self._scheduler.queue(key).pending
+        waiting = session.waiting_groups
+        queued = self._scheduler.queue(key).pending - len(waiting)
+        return len(session.buffer) + cut + queued + sum(group.deltas for group in waiting)
 
-    async def _ingest(self, session: _GraphSession, data: UpdateData) -> IngestReceipt:
-        """Queue action: validate, journal, buffer, and maybe cut."""
-        accepted: list[Update] = []
-        errors: list[str] = []
-        for update in data.updates():
-            problem = _stage_conflict(session.staged, update)
-            if problem is None:
-                try:
-                    session.buffer.append(update)
-                except UpdateError as exc:
-                    problem = str(exc)
-            if problem is not None:
-                errors.append(f"{update!r}: {problem}")
-                continue
-            # Preconditions passed and the batch accepted it — applying
-            # to the staged graph cannot fail now.
-            update.apply(session.staged)
-            accepted.append(update)
-        if accepted and session.journal is not None:
-            # Write-ahead: the receipt below must not exist before the
-            # deltas are on disk.  (A crash between buffer mutation and
-            # journal append loses in-memory state only, and no receipt
-            # was issued for it.)
-            session.last_seq = await asyncio.get_running_loop().run_in_executor(
-                None, session.journal.append_delta, accepted
+    async def _ingest_group(self, session: _GraphSession, group: _IngestGroup) -> None:
+        """Queue action: stage and admit a group of payloads, journal them once.
+
+        Each payload is validated in order and admitted exactly as if
+        it were ingested alone, so cut points and each cut's seq high
+        mark are those of one-by-one ingests.  The accepted payloads
+        then go to the journal in one append (one write, one fsync),
+        and only after it returns do the receipts resolve and the
+        settle for the group's cuts get scheduled.  If the append
+        raises, no receipt resolves: every one gets the exception.
+        """
+        session.waiting_groups.remove(group)
+        journal = session.journal
+        journaled: list[list[Update]] = []
+        receipts: list[IngestReceipt] = []
+        for data, _ in group.members:
+            accepted, rejected = _stage(session.staged, session.buffer, data.updates())
+            if accepted and journal is not None:
+                journaled.append(accepted)
+                session.last_seq = journal.last_seq + len(journaled)
+            cut_reason = self._admit(session)
+            receipts.append(
+                IngestReceipt(
+                    accepted=len(accepted),
+                    rejected=len(rejected),
+                    pending=len(session.buffer),
+                    cut=cut_reason,
+                    errors=tuple(f"{update!r}: {problem}" for update, problem in rejected),
+                )
             )
-        session.accepted += len(accepted)
-        session.rejected += len(errors)
-        cut_reason = self._admit(session)
-        return IngestReceipt(
-            accepted=len(accepted),
-            rejected=len(errors),
-            pending=len(session.buffer),
-            cut=cut_reason,
-            errors=tuple(errors),
-        )
+        if journaled:
+            # Write-ahead: no receipt below may exist before the deltas
+            # are on disk.  (A failed append leaves them in memory only,
+            # and no receipt was issued for them.)
+            await asyncio.get_running_loop().run_in_executor(
+                None, journal.append_delta, *journaled
+            )
+        for (_, future), receipt in zip(group.members, receipts):
+            session.accepted += receipt.accepted
+            session.rejected += receipt.rejected
+            if not future.done():
+                future.set_result(receipt)
+        self._queue_settle(session)
 
     async def _replay_ingest(
         self, session: _GraphSession, updates: list[Update], seq: int
@@ -1036,22 +1092,14 @@ class StreamingUpdateService:
         present in the recovered base (it settled into a snapshot whose
         checkpoint was lost) is skipped, not double-applied.
         """
-        for update in updates:
-            problem = _stage_conflict(session.staged, update)
-            if problem is None:
-                try:
-                    session.buffer.append(update)
-                except UpdateError as exc:
-                    problem = str(exc)
-            if problem is not None:
-                session.recovery_skipped += 1
-                continue
-            update.apply(session.staged)
-            session.accepted += 1
-            session.recovered += 1
-            session.recovery_pending += 1
+        accepted, rejected = _stage(session.staged, session.buffer, updates)
+        session.recovery_skipped += len(rejected)
+        session.accepted += len(accepted)
+        session.recovered += len(accepted)
+        session.recovery_pending += len(accepted)
         session.last_seq = seq
         self._admit(session)
+        self._queue_settle(session)
 
     def _admit(self, session: _GraphSession) -> Optional[str]:
         """Decide whether the buffered batch should settle now."""
@@ -1116,12 +1164,14 @@ class StreamingUpdateService:
         """Queue action: cut if the armed-for buffer is still pending."""
         if session.generation == generation and len(session.buffer):
             self._cut(session, CUT_DEADLINE)
+            self._queue_settle(session)
 
     def _cut(self, session: _GraphSession, reason: str) -> str:
-        """Swap the buffer out and queue it for settling.  Serialized.
+        """Swap the buffer out into the cut batches waiting to settle.
 
-        Only the cut that finds no other cut batch waiting schedules a
-        settle action; later cuts ride along with it.
+        Serialized.  The cutting action calls :meth:`_queue_settle` once
+        its own work is done (an ingest group only after its fsync), so
+        a settle never runs ahead of the deltas' journal records.
         """
         session.cuts.append((session.buffer, session.last_seq))
         session.buffer = UpdateBatch()
@@ -1130,14 +1180,19 @@ class StreamingUpdateService:
             session.deadline_handle.cancel()
             session.deadline_handle = None
         session.cut_reasons[reason] += 1
-        if len(session.cuts) == 1:
-            self._schedule_settle(session)
         return reason
 
-    def _schedule_settle(self, session: _GraphSession) -> None:
-        self._scheduler.schedule(
-            session.key, functools.partial(self._settle_cuts, session)
-        )
+    def _queue_settle(self, session: _GraphSession) -> None:
+        """Schedule the settle for waiting cut batches, unless one is queued.
+
+        One settle action takes every cut batch waiting when it starts,
+        so cuts made while it is queued ride along with it.
+        """
+        if session.cuts and not session.settle_queued:
+            self._scheduler.schedule(
+                session.key, functools.partial(self._settle_cuts, session)
+            )
+            session.settle_queued = True
 
     # ------------------------------------------------------------------
     # Settling: merging, retries, bisection, quarantine, checkpointing
@@ -1152,6 +1207,7 @@ class StreamingUpdateService:
         concatenate — an :class:`UpdateError`, which staged validation
         should make unreachable — settle one by one, as they were cut.
         """
+        session.settle_queued = False
         cuts = session.cuts
         take, size = 1, len(cuts[0][0])
         while take < len(cuts) and size + len(cuts[take][0]) <= self.config.max_buffer:
@@ -1175,9 +1231,8 @@ class StreamingUpdateService:
                 await self._settle(session, batch, seq_high)
         finally:
             session.settling = 0
-            if cuts:
-                with contextlib.suppress(QueueClosedError):
-                    self._schedule_settle(session)
+            with contextlib.suppress(QueueClosedError):
+                self._queue_settle(session)
 
     async def _settle(
         self, session: _GraphSession, batch: UpdateBatch, seq_high: int
@@ -1533,21 +1588,10 @@ class StreamingUpdateService:
         """
         staged = session.algorithm.data.copy()
         survivors = UpdateBatch()
-        dropped: list[Update] = []
-        for update in session.buffer:
-            problem = _stage_conflict(staged, update)
-            if problem is None:
-                try:
-                    survivors.append(update)
-                except UpdateError:
-                    dropped.append(update)
-                    continue
-                update.apply(staged)
-            else:
-                dropped.append(update)
+        _, dropped = _stage(staged, survivors, session.buffer)
         session.buffer = survivors
         session.staged = staged
-        return dropped
+        return [update for update, _ in dropped]
 
     # ------------------------------------------------------------------
     # Reads — synchronous, snapshot-backed, never enter the queue
@@ -1637,6 +1681,7 @@ class StreamingUpdateService:
                 "last_seq": session.journal.last_seq,
                 "checkpoint_seq": session.journal.checkpoint_seq,
                 "appends": session.journal.appends,
+                "fsyncs": session.journal.fsyncs,
                 "checkpoints": session.journal.checkpoints,
                 "compactions": session.journal.compactions,
                 "torn_lines": session.journal.torn_lines,
@@ -1699,6 +1744,9 @@ class StreamingUpdateService:
             async def _drain_cut(session=session) -> None:
                 if len(session.buffer):
                     self._cut(session, CUT_DRAIN)
+                # Also covers cut batches an ingest group left behind
+                # when its journal append failed.
+                self._queue_settle(session)
 
             self._scheduler.schedule(session.key, _drain_cut)
         await self._scheduler.drain()
@@ -1762,6 +1810,34 @@ class StreamingUpdateService:
         if session is None:
             raise ServiceError(f"unknown graph {key!r}")
         return session
+
+
+def _stage(
+    staged: DataGraph, buffer: UpdateBatch, updates: Iterable[Update]
+) -> tuple[list[Update], list[tuple[Update, str]]]:
+    """Validate ``updates`` in order; buffer and apply the valid ones.
+
+    Each update is checked against ``staged`` as the earlier ones left
+    it, appended to ``buffer`` and applied to ``staged``.  Returns the
+    accepted updates and ``(update, reason)`` for every rejected one.
+    """
+    accepted: list[Update] = []
+    rejected: list[tuple[Update, str]] = []
+    for update in updates:
+        problem = _stage_conflict(staged, update)
+        if problem is None:
+            try:
+                buffer.append(update)
+            except UpdateError as exc:
+                problem = str(exc)
+        if problem is not None:
+            rejected.append((update, problem))
+            continue
+        # Preconditions passed and the batch accepted it — applying to
+        # the staged graph cannot fail now.
+        update.apply(staged)
+        accepted.append(update)
+    return accepted, rejected
 
 
 def _stage_conflict(staged: DataGraph, update: Update) -> Optional[str]:

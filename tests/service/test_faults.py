@@ -10,6 +10,8 @@ durability is decided at the fsync, not at the receipt).
 """
 
 import asyncio
+import json
+import os
 import threading
 
 import pytest
@@ -19,6 +21,7 @@ from repro.graph.updates import EdgeInsertion
 from repro.service import (
     CRASH_POINTS,
     POST_APPEND,
+    PRE_APPEND,
     PRE_SETTLE,
     FaultInjector,
     InjectedCrash,
@@ -27,7 +30,7 @@ from repro.service import (
     StreamingUpdateService,
     flaky_algorithm_factory,
 )
-from repro.service.journal import DeadLetterJournal, journal_slug
+from repro.service.journal import DeadLetterJournal, GraphJournal, JournalError, journal_slug
 from repro.service.service import default_algorithm_factory
 
 
@@ -507,5 +510,276 @@ def test_replayed_window_is_an_oracle_for_recovery(tmp_path):
             u: list(vs) for u, vs in result.final.as_of[0]["default"].items()
         }
         assert replayed == expected_matches
+
+    run(scenario())
+
+
+# ----------------------------------------------------------------------
+# Group commit: payloads queued back to back share one append + fsync
+# ----------------------------------------------------------------------
+async def pipelined_crash_run(journal_dir, arm, payloads=WORKLOAD):
+    """The pipelined counterpart of :func:`crash_run`.
+
+    The first half of ``payloads`` goes in with ``submit_nowait`` as one
+    ingest group and settles; the second half then goes in as a second
+    group, during whose append or settle the armed fault must fire
+    (``arm`` skips the first group's hit).  Returns ``(receipted,
+    unreceipted)`` payloads.
+    """
+    faults = FaultInjector()
+    arm(faults)
+    service = StreamingUpdateService(
+        ServiceConfig(journal_dir=str(journal_dir), **EAGER), faults=faults
+    )
+    await service.register("g", make_data())
+    await service.subscribe("g", "default", make_pattern())
+    half = len(payloads) // 2
+    await asyncio.gather(*(service.submit_nowait("g", payload) for payload in payloads[:half]))
+    await service.quiesce()
+    second = payloads[half:]
+    outcomes = await asyncio.gather(
+        *(service.submit_nowait("g", payload) for payload in second), return_exceptions=True
+    )
+    await service.quiesce()
+    assert any(isinstance(exc, InjectedCrash) for _, exc in service.errors), (
+        "the armed fault never fired"
+    )
+    await service.abort()
+    failed = [isinstance(outcome, BaseException) for outcome in outcomes]
+    # One fsync for the group: its receipts resolve all together or not at all.
+    assert all(failed) or not any(failed)
+    assert all(isinstance(o, InjectedCrash) for o, bad in zip(outcomes, failed) if bad)
+    receipted = payloads[:half] + [p for p, bad in zip(second, failed) if not bad]
+    return receipted, [p for p, bad in zip(second, failed) if bad]
+
+
+async def recovered_group_prefix(journal_dir, receipted, unreceipted):
+    """How many unreceipted payloads recovery kept, by the oracle.
+
+    The recovered state must equal the oracle over the receipted
+    payloads plus some prefix of the unreceipted group.
+    """
+    recovered, stats = await recover_and_snapshot(journal_dir)
+    for kept in range(len(unreceipted) + 1):
+        if recovered == await oracle_state(receipted + unreceipted[:kept]):
+            return kept, stats
+    pytest.fail("recovered state is no oracle of the receipted payloads plus a group prefix")
+
+
+@pytest.mark.parametrize("point", CRASH_POINTS)
+def test_pipelined_kill_and_recover_keeps_a_prefix_of_the_unreceipted_group(tmp_path, point):
+    async def scenario():
+        receipted, unreceipted = await pipelined_crash_run(
+            tmp_path, lambda f: f.arm(point, after=1)
+        )
+        kept, stats = await recovered_group_prefix(tmp_path, receipted, unreceipted)
+        if point == PRE_APPEND:
+            assert (len(unreceipted), kept) == (3, 0)
+        elif point == POST_APPEND:
+            # Durable at the fsync, although no receipt was issued.
+            assert (len(unreceipted), kept) == (3, 3)
+        else:
+            # Settle-side crashes come after the group's receipts.
+            assert unreceipted == []
+        assert stats["quarantined"] == 0
+
+    run(scenario())
+
+
+@pytest.mark.parametrize("at", [1.0, 1.5])
+def test_pipelined_torn_append_keeps_the_whole_records_of_the_group(tmp_path, at):
+    # 1.0 tears exactly on a record boundary inside the group's write;
+    # 1.5 tears in the middle of its second record.
+    async def scenario():
+        receipted, unreceipted = await pipelined_crash_run(
+            tmp_path, lambda f: f.arm_torn_append(after=1, at=at)
+        )
+        assert len(unreceipted) == 3
+        kept, stats = await recovered_group_prefix(tmp_path, receipted, unreceipted)
+        assert kept == 1
+        assert stats["journal"]["torn_lines"] == (1 if at == 1.5 else 0)
+
+    run(scenario())
+
+
+class FsyncGate:
+    """Blocks the next ``os.fsync`` once ``armed`` is set, until ``release``."""
+
+    def __init__(self, monkeypatch, *, sync: bool = True) -> None:
+        self.armed = False
+        self.entered = threading.Event()
+        self.release = threading.Event()
+        real_fsync = os.fsync
+
+        def fsync(fd):
+            if self.armed:
+                self.armed = False
+                self.entered.set()
+                self.release.wait(timeout=10)
+                if not sync:
+                    return
+            real_fsync(fd)
+
+        monkeypatch.setattr(os, "fsync", fsync)
+
+    async def wait_entered(self) -> None:
+        while not self.entered.is_set():
+            await asyncio.sleep(0.001)
+
+
+def test_no_receipt_resolves_before_its_groups_fsync(tmp_path, monkeypatch):
+    gate = FsyncGate(monkeypatch)
+
+    async def scenario():
+        service = StreamingUpdateService(ServiceConfig(journal_dir=str(tmp_path), **QUIET))
+        await service.register("g", make_data())
+        await service.subscribe("g", "default", make_pattern())
+        gate.armed = True
+        receipts = [service.submit_nowait("g", payload) for payload in WORKLOAD]
+        await gate.wait_entered()
+        # Every record is written, and the fsync has not returned yet.
+        path = tmp_path / f"{journal_slug('g')}.journal.jsonl"
+        deltas = [line for line in path.read_text().splitlines() if '"t": "delta"' in line]
+        assert len(deltas) == len(WORKLOAD)
+        await asyncio.sleep(0.05)
+        assert not any(receipt.done() for receipt in receipts)
+        gate.release.set()
+        outcomes = await asyncio.gather(*receipts)
+        assert [o.accepted for o in outcomes] == [
+            len(p.get("inserts", [])) + len(p.get("deletes", [])) for p in WORKLOAD
+        ]
+        journal = service.stats("g")["journal"]
+        # The subscribe record plus one group of six, two fsyncs in all.
+        assert (journal["appends"], journal["fsyncs"]) == (1 + len(WORKLOAD), 2)
+        await service.close()
+
+    run(scenario())
+
+
+def test_abort_during_a_groups_fsync_cancels_every_receipt(tmp_path, monkeypatch):
+    gate = FsyncGate(monkeypatch, sync=False)
+
+    async def scenario():
+        service = StreamingUpdateService(ServiceConfig(journal_dir=str(tmp_path), **QUIET))
+        await service.register("g", make_data())
+        await service.subscribe("g", "default", make_pattern())
+        gate.armed = True
+        receipts = [service.submit_nowait("g", payload) for payload in WORKLOAD]
+        await gate.wait_entered()
+        try:
+            await asyncio.wait_for(service.abort(), timeout=5)
+            assert all(receipt.cancelled() for receipt in receipts)
+        finally:
+            gate.release.set()
+
+    run(scenario())
+
+
+def test_pipelined_burst_makes_one_append_with_the_records_of_awaited_submits(
+    tmp_path, monkeypatch
+):
+    from repro.workloads.update_gen import generate_payload_stream
+
+    calls = []
+    append_delta = GraphJournal.append_delta
+
+    def counting_append(journal, *payloads):
+        calls.append(len(payloads))
+        return append_delta(journal, *payloads)
+
+    monkeypatch.setattr(GraphJournal, "append_delta", counting_append)
+    data = make_data(30)
+    payloads = list(
+        generate_payload_stream(data, payloads=120, updates_per_payload=4, seed=ROOT_SEED)
+    )
+    config = dict(deadline_seconds=30.0, max_buffer=100, coalesce_min_batch=64)
+
+    async def ingest(directory, pipelined):
+        service = StreamingUpdateService(ServiceConfig(journal_dir=str(directory), **config))
+        await service.register("g", data)
+        await service.subscribe("g", "p", make_pattern())
+        if pipelined:
+            receipts = await asyncio.gather(
+                *(service.submit_nowait("g", payload) for payload in payloads)
+            )
+        else:
+            receipts = [await service.submit("g", payload) for payload in payloads]
+        await service.drain()
+        stats = service.stats("g")
+        snapshot = service.snapshot("g")
+        await service.close()
+        path = directory / f"{journal_slug('g')}.journal.jsonl"
+        deltas = [
+            line for line in path.read_bytes().splitlines() if json.loads(line)["t"] == "delta"
+        ]
+        return receipts, stats, deltas, snapshot
+
+    async def scenario():
+        awaited = await ingest(tmp_path / "awaited", pipelined=False)
+        assert calls == [1] * len(payloads)
+        calls.clear()
+        pipelined = await ingest(tmp_path / "pipelined", pipelined=True)
+        assert calls == [len(payloads)]
+        receipts, stats, deltas, snapshot = pipelined
+        assert receipts == awaited[0]
+        assert stats["cut_reasons"] == awaited[1]["cut_reasons"]
+        assert len(deltas) == len(payloads)
+        assert deltas == awaited[2]
+        assert snapshot.data == awaited[3].data
+        assert snapshot.state_for("p").result == awaited[3].state_for("p").result
+        assert (stats["journal"]["appends"], stats["journal"]["fsyncs"]) == (1 + len(payloads), 2)
+        assert stats["journal"]["fsyncs"] < awaited[1]["journal"]["fsyncs"]
+
+    run(scenario())
+
+
+def test_failed_group_append_stops_the_journal(tmp_path, monkeypatch):
+    # A real I/O error, not a simulated death.  How much of the group
+    # reached the disk is unknown, so the journal takes no more appends
+    # (they could reuse the group's seqs) and no checkpoint; a restart
+    # recovers the receipted payloads plus a prefix of the group.
+    failing = {"armed": False}
+    real_fsync = os.fsync
+
+    def fsync(fd):
+        if failing["armed"]:
+            failing["armed"] = False
+            raise OSError("disk full")
+        real_fsync(fd)
+
+    monkeypatch.setattr(os, "fsync", fsync)
+    first = {"inserts": [edge_spec("n0", "n2")]}
+    group = [
+        {"inserts": [edge_spec("n0", "n3")]},
+        {"inserts": [edge_spec("n1", "n4"), edge_spec("n2", "n5")]},
+    ]
+
+    async def scenario():
+        config = ServiceConfig(
+            journal_dir=str(tmp_path),
+            deadline_seconds=30.0,
+            max_buffer=2,
+            coalesce_min_batch=10_000,
+        )
+        service = StreamingUpdateService(config)
+        await service.register("g", make_data())
+        await service.subscribe("g", "default", make_pattern())
+        receipt = await service.submit("g", first)
+        assert receipt.accepted == 1 and receipt.cut is None
+        failing["armed"] = True
+        # Both payloads cut (capacity) before the append fails.
+        outcomes = await asyncio.gather(
+            *(service.submit_nowait("g", payload) for payload in group), return_exceptions=True
+        )
+        assert [type(outcome) for outcome in outcomes] == [OSError, OSError]
+        with pytest.raises(JournalError):
+            await service.submit("g", {"inserts": [edge_spec("n3", "n6")]})
+        # The subscribe record and the first payload; the group's seqs
+        # never became the journal's.
+        assert service.stats("g")["journal"]["last_seq"] == 2
+        await service.abort()
+
+        kept, _stats = await recovered_group_prefix(tmp_path, [first], group)
+        assert kept == len(group)  # written and flushed; only the fsync failed
 
     run(scenario())

@@ -21,7 +21,7 @@ from repro.graph.updates import (
     insert_data_node,
 )
 from repro.replay import ReplayLog
-from repro.service import ServiceConfig, StreamingUpdateService
+from repro.service import FaultInjector, InjectedCrash, ServiceConfig, StreamingUpdateService
 from repro.service.journal import (
     DeadLetterJournal,
     GraphJournal,
@@ -260,6 +260,56 @@ def test_torn_tail_fuzz_every_byte_offset(tmp_path):
         )
         # The truncation repair leaves a cleanly appendable file.
         assert path.stat().st_size == boundaries[complete]
+
+
+GROUP = (
+    [insert_data_edge("n0", "n2")],
+    [insert_data_node("x", ("A",), (("x", "n0"),)), insert_data_edge("n1", "n3")],
+    [delete_data_edge("n0", "n2")],
+)
+
+
+def test_grouped_append_writes_the_records_of_single_appends_with_one_fsync(tmp_path):
+    grouped = GraphJournal(tmp_path / "grouped.journal.jsonl")
+    grouped.open()
+    assert grouped.append_delta(*GROUP) == 3
+    assert (grouped.appends, grouped.fsyncs) == (3, 1)
+    grouped.close()
+
+    single = GraphJournal(tmp_path / "single.journal.jsonl")
+    single.open()
+    assert [single.append_delta(payload) for payload in GROUP] == [1, 2, 3]
+    assert (single.appends, single.fsyncs) == (3, 3)
+    single.close()
+
+    # Same bytes on disk, and recovery reads one record per payload.
+    assert grouped.path.read_bytes() == single.path.read_bytes()
+    reopened = GraphJournal(grouped.path)
+    state = reopened.open()
+    assert state.tail == [(seq, payload) for seq, payload in enumerate(GROUP, start=1)]
+    assert reopened.append_delta([insert_data_edge("n2", "n4")]) == 4
+    reopened.close()
+
+
+@pytest.mark.parametrize("at", [0.0, 0.5, 1.0, 1.5, 2.0, 2.9])
+def test_torn_grouped_append_leaves_a_record_prefix(tmp_path, at):
+    faults = FaultInjector()
+    faults.arm_torn_append(after=1, at=at)
+    journal = GraphJournal(tmp_path / "g.journal.jsonl", faults=faults)
+    journal.open()
+    journal.append_delta([insert_data_edge("n3", "n5")])
+    with pytest.raises(InjectedCrash):
+        journal.append_delta(*GROUP)
+    journal.close()
+
+    reopened = GraphJournal(journal.path)
+    state = reopened.open()
+    # The first record, then the whole records of the torn group's
+    # prefix; a partial record is truncated away as a torn tail.
+    assert [seq for seq, _ in state.tail] == list(range(1, 2 + int(at)))
+    assert state.torn_line == (at != int(at))
+    assert reopened.append_delta([insert_data_edge("n2", "n4")]) == 2 + int(at)
+    reopened.close()
 
 
 def test_unterminated_but_valid_final_record_is_dropped_as_torn(tmp_path):

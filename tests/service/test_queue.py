@@ -171,3 +171,64 @@ def test_close_is_idempotent():
         await scheduler.close()
 
     asyncio.run(scenario())
+
+
+def test_cancelling_the_worker_mid_action_stops_it():
+    async def scenario():
+        scheduler = ActionScheduler()
+        started = asyncio.Event()
+        ran = []
+
+        async def stuck():
+            started.set()
+            await asyncio.Event().wait()
+
+        async def later():
+            ran.append("later")
+
+        first = scheduler.schedule("g", stuck)
+        second = scheduler.schedule("g", later)
+        await started.wait()
+        (worker,) = [
+            task for task in asyncio.all_tasks() if task.get_name() == "action-queue:g"
+        ]
+        worker.cancel()
+        with pytest.raises(asyncio.CancelledError):
+            await asyncio.wait_for(worker, timeout=2)
+        # The in-flight action died with the worker, and nothing queued
+        # behind it ran.
+        assert first.cancelled()
+        assert not second.done()
+        assert ran == []
+        await scheduler.abort()
+        assert second.cancelled()
+
+    asyncio.run(scenario())
+
+
+def test_waiting_tail_is_the_last_scheduled_action_until_it_starts():
+    async def scenario():
+        scheduler = ActionScheduler()
+        queue = scheduler.queue("g")
+        release = asyncio.Event()
+
+        async def blocked():
+            await release.wait()
+
+        async def noop():
+            return None
+
+        assert queue.waiting_tail is None
+        first = scheduler.schedule("g", blocked)
+        assert queue.waiting_tail is first
+        await asyncio.sleep(0)  # the worker starts ``first``
+        assert queue.waiting_tail is None
+        second = scheduler.schedule("g", noop)
+        third = scheduler.schedule("g", noop)
+        assert queue.waiting_tail is third
+        release.set()
+        await asyncio.gather(first, second, third)
+        assert queue.waiting_tail is None
+        await scheduler.close()
+
+    asyncio.run(scenario())

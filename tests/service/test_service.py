@@ -602,6 +602,34 @@ def test_pipelined_crossover_cuts_settle_once_and_recover(tmp_path):
     run(scenario())
 
 
+def test_drain_queued_behind_a_journaled_burst_joins_its_one_settle(tmp_path):
+    # The repo benchmark's burst shape: every payload pipelined, the
+    # drain queued right behind them while the group is still fsyncing.
+    # The group schedules its settle only after the fsync, so the drain
+    # cut of the leftover payload lands ahead of it and joins it.
+    async def scenario():
+        data = make_braided_ring(40)
+        payloads = deletion_payloads(data, 4)
+        payloads[-1]["deletes"] = payloads[-1]["deletes"][:1]  # below the crossover
+        service = StreamingUpdateService(ServiceConfig(journal_dir=str(tmp_path), **CROSSOVER))
+        await service.register("g", data)
+        receipts = [service.submit_nowait("g", payload) for payload in payloads]
+        drained = asyncio.ensure_future(service.drain())
+        assert [receipt.cut for receipt in await asyncio.gather(*receipts)] == [
+            CUT_CROSSOVER, CUT_CROSSOVER, CUT_CROSSOVER, None
+        ]
+        await drained
+
+        stats = service.stats("g")
+        assert stats["cut_reasons"] == {CUT_CROSSOVER: 3, CUT_DRAIN: 1}
+        assert stats["settles"] == 1
+        assert stats["settled"] == stats["accepted"] == 3 * CROSSOVER_DELETES + 1
+        assert stats["journal"]["checkpoint_seq"] == stats["journal"]["last_seq"]
+        await service.close()
+
+    run(scenario())
+
+
 def test_max_buffer_caps_every_merged_settle():
     async def scenario():
         data = make_braided_ring(40)
@@ -684,6 +712,65 @@ def test_poison_delta_in_a_merged_settle_is_quarantined_alone():
         snapshot = service.snapshot("g")
         assert snapshot.data == expected
         assert snapshot.data.has_edge(poison["source"], poison["target"])
+        await service.close()
+
+    run(scenario())
+
+
+def test_pipelined_burst_backlog_counts_every_waiting_payload():
+    # One ingest group carries many payloads in one queue action, yet
+    # backlog() still counts one per waiting single-delta payload — the
+    # count the TCP front end's max_pending refusal has always seen —
+    # and a drain queued between two bursts keeps them two groups.
+    async def scenario():
+        import threading
+
+        settle_started = asyncio.Event()
+        release_settle = threading.Event()
+        loop = asyncio.get_running_loop()
+
+        def gated_factory(pattern, data, config, telemetry):
+            algorithm = default_algorithm_factory(pattern, data, config, telemetry)
+            inner = algorithm.subsequent_query
+
+            def gated(batch):
+                loop.call_soon_threadsafe(settle_started.set)
+                assert release_settle.wait(timeout=10), "test never released settle"
+                return inner(batch)
+
+            algorithm.subsequent_query = gated
+            return algorithm
+
+        service = StreamingUpdateService(
+            ServiceConfig(deadline_seconds=30.0, max_buffer=10_000, coalesce_min_batch=10_000),
+            algorithm_factory=gated_factory,
+        )
+        await service.register("g", make_data())
+        pairs = [("n0", "n2"), ("n0", "n3"), ("n1", "n3"), ("n1", "n4"), ("n2", "n4"), ("n2", "n5")]
+        receipts = [service.submit_nowait("g", {"inserts": [edge_spec(*pairs[0])]})]
+        assert service.backlog("g") == 1
+        await receipts[0]
+        first_drain = asyncio.ensure_future(service.drain())
+        await asyncio.wait_for(settle_started.wait(), timeout=10)
+        # The worker is busy settling one delta.  Queue 3 payloads, a
+        # drain cut, then 2 more: before grouping that was 6 ingest and
+        # drain actions behind the running settle.
+        receipts += [service.submit_nowait("g", {"inserts": [edge_spec(*p)]}) for p in pairs[1:4]]
+        assert service.backlog("g") == 1 + 1 + 3
+        second_drain = asyncio.ensure_future(service.drain())
+        await asyncio.sleep(0)
+        receipts += [service.submit_nowait("g", {"inserts": [edge_spec(*p)]}) for p in pairs[4:]]
+        assert service.backlog("g") == 1 + 1 + 3 + 1 + 2
+        release_settle.set()
+        await first_drain
+        await second_drain
+        assert [receipt.result().accepted for receipt in receipts] == [1] * len(pairs)
+        # The last two payloads came after the second drain's cut.
+        assert service.backlog("g") == 2
+        await service.drain()
+        assert service.backlog("g") == 0
+        stats = service.stats("g")
+        assert stats["settled"] == stats["accepted"] == len(pairs)
         await service.close()
 
     run(scenario())
