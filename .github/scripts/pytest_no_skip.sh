@@ -4,8 +4,6 @@
 # The differential harness and the strategy-equivalence suite skip
 # their dense halves only when numpy is missing; on CI that means the
 # dense backend silently went untested, so a skip must fail the job.
-# The calibration-convergence suite is currently skip-free and rides
-# along so a future skip marker cannot silently disable it either.
 #
 # Usage: pytest_no_skip.sh <label> <pytest-path> [<pytest-path> ...]
 set -euo pipefail

@@ -25,19 +25,14 @@ empirically fastest forced strategy).  The script exits non-zero when a
 decisive coalescing cell regresses below 1x or when auto loses more
 than 10% (plus a small absolute tolerance) to the best forced strategy.
 
-``--telemetry-out PATH`` additionally records one
-:class:`~repro.batching.telemetry.PlanObservation` per timed run —
-exactly the input :func:`repro.batching.calibrate.refit_cost_model`
-needs, which is how the CI calibration job produces its refit.
 ``--quick`` trims the grid for CI (fewer rounds, no tiny cells, and the
 timing gates become warnings instead of failures — shared runners are
-too noisy to gate on, and the calibration job gates on non-timing
-assertions instead).
+too noisy to gate on; the per-run check against the from-scratch
+matrix still fails the script).
 
 Run with::
 
-    PYTHONPATH=src python benchmarks/bench_batching.py [--plan auto ...] \\
-        [--quick] [--telemetry-out telemetry.json]
+    PYTHONPATH=src python benchmarks/bench_batching.py [--plan auto ...] [--quick]
 """
 
 from __future__ import annotations
@@ -51,8 +46,7 @@ from pathlib import Path
 
 from repro.batching.coalesce import coalesce_slen
 from repro.batching.compiler import compile_batch
-from repro.batching.planner import DEFAULT_COST_MODEL, BatchStatistics, plan_batch
-from repro.batching.telemetry import PlanObservation, TelemetryLog
+from repro.batching.planner import BatchStatistics, plan_batch
 from repro.partition.label_partition import LabelPartition
 from repro.partition.partitioned_spl import coalesce_slen_partitioned
 from repro.spl.incremental import update_slen
@@ -62,7 +56,7 @@ from repro.workloads.pattern_gen import PatternSpec, generate_pattern
 from repro.workloads.update_gen import UpdateWorkloadSpec, generate_update_batch
 
 BATCH_SIZES = (1, 8, 64, 256)
-#: The --quick grid: drops the tiny cells (they carry no calibration
+#: The --quick grid: drops the tiny cells (they carry no routing
 #: signal) and keeps the decisive sizes around the crossover.
 QUICK_BATCH_SIZES = (8, 64, 256)
 MIXES = ("balanced", "insert-heavy", "delete-heavy")
@@ -108,8 +102,8 @@ def _run_strategy(strategy: str, graph, matrix, updates, partition=None) -> None
     outside the timed window), mirroring the warm cross-batch cache the
     algorithms keep: the partitioned route pays only the O(|batch|)
     deletion bookkeeping in-band, exactly like
-    ``GPNMAlgorithm._settle_partition`` — so benchmark telemetry and
-    algorithm telemetry measure the same quantity.
+    ``GPNMAlgorithm._settle_partition`` — so this benchmark and the
+    algorithms' ``maintenance_seconds`` time the same work.
     """
     if strategy == "per-update":
         for update in updates:
@@ -130,7 +124,7 @@ def _run_strategy(strategy: str, graph, matrix, updates, partition=None) -> None
         coalesce_slen_partitioned(matrix, graph, surviving, partition=partition)
 
 
-def time_strategy(data, updates, strategy: str, telemetry=None) -> tuple[float, str]:
+def time_strategy(data, updates, strategy: str) -> tuple[float, str]:
     """One timed run; returns (seconds, executed_strategy)."""
     graph = data.copy()
     matrix = SLenMatrix.from_graph(graph, horizon=HORIZON)
@@ -155,18 +149,6 @@ def time_strategy(data, updates, strategy: str, telemetry=None) -> tuple[float, 
     _run_strategy(executed, graph, matrix, updates, partition=partition)
     elapsed = time.perf_counter() - started
     assert matrix == SLenMatrix.from_graph(graph, horizon=HORIZON)
-    if telemetry is not None:
-        telemetry.record(
-            PlanObservation(
-                statistics=stats,
-                requested=strategy,
-                planned=executed,
-                executed=executed,
-                predicted_costs=DEFAULT_COST_MODEL.estimate(stats),
-                elapsed_seconds=elapsed,
-                algorithm="bench_batching",
-            )
-        )
     return elapsed, executed
 
 
@@ -191,20 +173,13 @@ def main(argv=None) -> int:
         action="store_true",
         help=(
             "CI grid: 3 rounds, no tiny cells, timing gates demoted to "
-            "warnings (the calibration job gates on non-timing assertions)"
+            "warnings (the per-run matrix check still fails the script)"
         ),
-    )
-    parser.add_argument(
-        "--telemetry-out",
-        metavar="PATH",
-        default=None,
-        help="write one PlanObservation per timed run as a telemetry JSON log",
     )
     args = parser.parse_args(argv)
     plans = tuple(dict.fromkeys(args.plan)) if args.plan else PLANS
     batch_sizes = QUICK_BATCH_SIZES if args.quick else BATCH_SIZES
     rounds = args.rounds if args.rounds is not None else (3 if args.quick else ROUNDS)
-    telemetry = TelemetryLog() if args.telemetry_out else None
     # --quick produces reduced-fidelity data; never overwrite the
     # tracked full-grid artifact with it.
     output = OUTPUT.with_name("BENCH_batching_quick.json") if args.quick else OUTPUT
@@ -223,9 +198,7 @@ def main(argv=None) -> int:
             for strategy in plans:
                 samples = []
                 for _ in range(rounds):
-                    elapsed, executed = time_strategy(
-                        data, updates, strategy, telemetry=telemetry
-                    )
+                    elapsed, executed = time_strategy(data, updates, strategy)
                     samples.append(elapsed)
                     if strategy == "auto":
                         auto_choice = executed
@@ -288,12 +261,6 @@ def main(argv=None) -> int:
     }
     output.write_text(json.dumps(payload, indent=2) + "\n")
     print(f"wrote {output}", file=sys.stderr)
-    if telemetry is not None:
-        telemetry.save(args.telemetry_out)
-        print(
-            f"wrote {len(telemetry)} observations to {args.telemetry_out}",
-            file=sys.stderr,
-        )
     if accuracy_cells:
         print(
             f"planner choice accuracy: {matched_cells}/{accuracy_cells}",
@@ -330,7 +297,7 @@ def main(argv=None) -> int:
         failed = True
     if failed and args.quick:
         # Shared CI runners are too noisy to gate on wall-clock; the
-        # calibration job gates on the non-timing assertions instead.
+        # per-run matrix check above is the non-timing assertion.
         print("timing gates demoted to warnings (--quick)", file=sys.stderr)
         return 0
     return 1 if failed else 0

@@ -39,7 +39,7 @@ row-heavy sources through the label partition
 (:func:`repro.partition.coalesce_slen_partitioned`).
 ``batch_plan="auto"`` — the **default** — has the execution planner
 (:func:`repro.batching.plan_batch`) pick the cheapest strategy per
-batch from an explicit, serializable
+batch from an explicit, hand-calibrated
 :class:`~repro.batching.CostModel`.  Results are bit-identical on every
 route (``tests/test_differential.py`` and
 ``tests/batching/test_planner_equivalence.py`` check every method
@@ -59,25 +59,13 @@ Auto-planned batches below the ``coalesce_min_batch`` crossover
 planner rule among several; ``ua-gpnm --help`` documents the full
 strategy-selection policy.
 
-Planner telemetry and self-calibration
---------------------------------------
-The planner measures itself: hand any algorithm (or the harness, via
-``ExperimentConfig(telemetry_path=...)`` / ``ua-gpnm
---telemetry-out``) a :class:`~repro.batching.TelemetryLog` and every
-maintained batch records a :class:`~repro.batching.PlanObservation` —
-the predicted per-strategy costs next to the measured maintenance
-wall-clock.  :func:`repro.batching.calibrate.refit_cost_model`
-least-squares refits the cost model from those observations, guarded
-against fits that predict held-out observations worse than the
-incumbent; ``recalibrate_every`` (CLI ``--recalibrate-every``) swaps
-refit models in mid-run, and the CI ``calibration`` job refits from the
-benchmark grid on every push and gates on routing-accuracy
-non-regression.  UA-GPNM additionally caches its
-:class:`~repro.partition.LabelPartition` across batches (invalidated on
+Partition cache
+---------------
+UA-GPNM caches its :class:`~repro.partition.LabelPartition` across
+batches (invalidated on
 :attr:`DataGraph.version <repro.graph.digraph.DataGraph.version>`
 changes, maintained incrementally per update), so the partitioned
-route's per-batch setup cost no longer distorts the telemetry it is
-judged by.
+route does not pay the partition's construction on every batch.
 
 Pluggable ``SLen`` storage backends
 -----------------------------------
@@ -103,9 +91,7 @@ from repro.batching import (
     CompilationReport,
     CompiledBatch,
     CostModel,
-    PlanObservation,
     PlanReport,
-    TelemetryLog,
     coalesce_slen,
     compile_batch,
     plan_batch,
@@ -185,8 +171,6 @@ __all__ = [
     "DEFAULT_COST_MODEL",
     "PlanReport",
     "plan_batch",
-    "PlanObservation",
-    "TelemetryLog",
     # partition
     "LabelPartition",
     "build_slen_partitioned",

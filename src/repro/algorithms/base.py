@@ -29,7 +29,6 @@ from repro.batching.planner import (
     PlanReport,
     plan_batch,
 )
-from repro.batching.telemetry import PlanObservation, TelemetryLog
 from repro.elimination.eh_tree import EHTree
 from repro.graph.digraph import DataGraph
 from repro.graph.pattern import PatternGraph
@@ -59,8 +58,8 @@ class QueryStats:
     maintenance_seconds:
         Wall-clock time of the batch's ``SLen`` maintenance alone (graph
         application + maintenance kernels) — the quantity the execution
-        planner's cost model predicts, and what planner telemetry
-        records against the prediction.
+        planner's cost model predicts, and what the experiment reports
+        record per batch.
     updates_processed:
         Number of updates in the batch.
     refinement_passes:
@@ -154,9 +153,8 @@ class GPNMAlgorithm(abc.ABC):
           the cheapest strategy per batch (insert-dominated batches are
           routed away from coalescing, small batches stay per-update).
           The default flipped from ``"per-update"`` once the planner
-          soaked behind the 52-seed differential harness, the 50-seed
-          strategy-equivalence suite and the calibration-convergence
-          suite (all in the CI no-skip gate);
+          soaked behind the 52-seed differential harness and the 50-seed
+          strategy-equivalence suite (both in the CI no-skip gate);
         * ``"per-update"`` — one ``update_slen`` pass per data update;
         * ``"coalesced"`` — compile the batch and maintain ``SLen`` with
           one coalesced pass; results are identical, the work scales
@@ -183,21 +181,8 @@ class GPNMAlgorithm(abc.ABC):
         ignored by the sparse backend.
     cost_model:
         The planner's :class:`~repro.batching.planner.CostModel`
-        (``None`` = the shipped calibration).  Online recalibration
-        swaps refit models in here.
-    telemetry:
-        A :class:`~repro.batching.telemetry.TelemetryLog`; when given,
-        every maintained batch emits a
-        :class:`~repro.batching.telemetry.PlanObservation` (the
-        planner's prediction vs. the measured maintenance time).  Logs
-        can be shared across algorithm instances.
-    recalibrate_every:
-        Online recalibration cadence: after every N new telemetry
-        observations the cost model is refit
-        (:func:`repro.batching.calibrate.refit_cost_model`) and swapped
-        in for subsequent planning decisions.  0 (the default) disables
-        recalibration; a positive value without an explicit
-        ``telemetry`` log creates a private one.
+        (``None`` = the shipped
+        :data:`~repro.batching.planner.DEFAULT_COST_MODEL`).
     """
 
     #: Human-readable name used in experiment reports.
@@ -216,8 +201,6 @@ class GPNMAlgorithm(abc.ABC):
         dense_block_size: Optional[int] = None,
         batch_plan: Optional[str] = None,
         cost_model: Optional[CostModel] = None,
-        telemetry: Optional[TelemetryLog] = None,
-        recalibrate_every: int = 0,
     ) -> None:
         self._pattern = pattern.copy()
         self._data = data.copy()
@@ -229,23 +212,9 @@ class GPNMAlgorithm(abc.ABC):
             raise ValueError(
                 f"unknown batch_plan {batch_plan!r}; expected one of {PLAN_CHOICES}"
             )
-        if recalibrate_every < 0:
-            raise ValueError("recalibrate_every must be non-negative")
         self._batch_plan = batch_plan
         self._coalesce_min_batch = coalesce_min_batch
         self._cost_model = cost_model
-        if telemetry is None and recalibrate_every:
-            telemetry = TelemetryLog()
-        self._telemetry = telemetry
-        self._recalibration = None
-        if recalibrate_every:
-            # Imported lazily so `python -m repro.batching.calibrate`
-            # does not find the module pre-imported through this package.
-            from repro.batching.calibrate import RecalibrationSchedule
-
-            self._recalibration = RecalibrationSchedule(
-                recalibrate_every, cost_model, observed=telemetry.total_recorded
-            )
         self._last_plan: Optional[PlanReport] = None
         #: Pattern-independent outcome of the most recent batch (the
         #: maintained data updates + their affected region), consumed by
@@ -293,8 +262,8 @@ class GPNMAlgorithm(abc.ABC):
             # Seed the cache on the precomputed-SLen path too (the
             # experiment harness always takes it): building here keeps
             # the O(V + E) partition construction out of the timed
-            # maintenance window, so partitioned-route telemetry is not
-            # inflated by setup the cache exists to amortise.  Plans
+            # maintenance window, so partitioned-route maintenance_seconds
+            # are not inflated by setup the cache exists to amortise.  Plans
             # that can never route partitioned skip the build (the
             # lazy rebuild in _settle_partition covers stragglers).
             self._partition_cache = LabelPartition.from_graph(self._data)
@@ -390,13 +359,8 @@ class GPNMAlgorithm(abc.ABC):
 
     @property
     def cost_model(self) -> CostModel:
-        """The planner's active cost model (refit models show up here)."""
+        """The planner's cost model (``DEFAULT_COST_MODEL`` unless one was passed)."""
         return self._cost_model or DEFAULT_COST_MODEL
-
-    @property
-    def telemetry(self) -> Optional[TelemetryLog]:
-        """The telemetry log observations are emitted into (if any)."""
-        return self._telemetry
 
     def _plan_data_batch(self, data_updates: Sequence[Update], batch_size: int) -> PlanReport:
         """Run the execution planner for one batch's data updates.
@@ -437,59 +401,12 @@ class GPNMAlgorithm(abc.ABC):
             self._last_maintained_updates, self._last_affected_sets, self._data
         )
         self._relation = relation
-        self._record_plan_observation(stats)
         return SubsequentResult(
             result=MatchResult(relation.as_dict(), enforce_totality=self._enforce_totality),
             stats=stats,
             eh_tree=eh_tree,
             plan=self._last_plan,
         )
-
-    # ------------------------------------------------------------------
-    # Planner telemetry + online recalibration
-    # ------------------------------------------------------------------
-    def _record_plan_observation(self, stats: QueryStats) -> None:
-        """Emit one :class:`PlanObservation` for the batch just processed.
-
-        The observation pairs the planner's prediction with the measured
-        maintenance time; the *executed* strategy is inferred from the
-        work counters because per-update-by-definition algorithms
-        (INC-GPNM) can carry a coalescing plan that only canonicalises
-        the stream.  Batches that ran no maintenance at all (everything
-        compiled away, or pattern-only batches) are not observations —
-        and neither are plan/execution mismatches: INC-GPNM's per-update
-        maintenance under a coalescing plan ran over the *compiled*
-        stream, so labelling its timing with the pre-compilation
-        statistics would bias the refit's per-update unit anchor low.
-        """
-        plan = self._last_plan
-        if plan is None or self._telemetry is None or stats.slen_updates == 0:
-            return
-        executed = plan.strategy if stats.coalesced_batches else STRATEGY_PER_UPDATE
-        if executed != plan.strategy:
-            return
-        self._telemetry.record(
-            PlanObservation(
-                statistics=plan.statistics,
-                requested=plan.requested,
-                planned=plan.strategy,
-                executed=executed,
-                predicted_costs=dict(plan.costs),
-                elapsed_seconds=stats.maintenance_seconds,
-                algorithm=self.name,
-            )
-        )
-        self._maybe_recalibrate()
-
-    def _maybe_recalibrate(self) -> None:
-        """Refit the cost model once enough new observations accrued
-        (the cadence lives in :class:`~repro.batching.calibrate.
-        RecalibrationSchedule`, shared with the experiment runner)."""
-        if self._recalibration is None or self._telemetry is None:
-            return
-        refit = self._recalibration.maybe_refit(self._telemetry)
-        if refit is not None:
-            self._cost_model = refit
 
     # ------------------------------------------------------------------
     # Hooks for subclasses
@@ -508,7 +425,7 @@ class GPNMAlgorithm(abc.ABC):
 
         Partition-cache mirroring happens *outside* the timed window:
         the benchmark's per-update branch does no partition bookkeeping,
-        and telemetry from both sources must measure the same quantity.
+        and ``maintenance_seconds`` must time the same work it does.
         """
         tracking = self._partition_tracking()
         started = time.perf_counter()
@@ -526,9 +443,9 @@ class GPNMAlgorithm(abc.ABC):
         ``stats.maintenance_seconds``.
 
         The cost model's ``coalesce_fixed_overhead`` covers compile +
-        setup and the benchmark telemetry times the compile, so
-        algorithm telemetry must include it too — otherwise the refit
-        trains on two inconsistent definitions of the coalesced cost.
+        setup and the batching benchmark times the compile, so
+        ``maintenance_seconds`` includes it too: both then measure the
+        same coalesced cost.
         """
         started = time.perf_counter()
         compiled = compile_batch(updates)
@@ -578,7 +495,7 @@ class GPNMAlgorithm(abc.ABC):
         # is timed — the benchmark's partitioned branch pays the same cost
         # — but cache *upkeep* (committing insertions, mirroring updates
         # on non-partitioned routes) is not: the benchmark does neither,
-        # and both telemetry sources must measure the same quantity.
+        # and maintenance_seconds must time the same work it does.
         tracking = not partitioned and self._partition_tracking()
         started = time.perf_counter()
         partition = self._settle_partition(data_updates) if partitioned else None

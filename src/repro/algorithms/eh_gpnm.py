@@ -39,7 +39,7 @@ class EHGPNM(GPNMAlgorithm):
         # forced "partitioned" plan degrades to "coalesced".)  The plan
         # sees the full batch length, like every other algorithm, so the
         # min_batch crossover rule routes the same workload identically
-        # across methods and telemetry cells line up.
+        # across methods.
         plan = self._plan_data_batch(data_updates, len(batch))
         stats.planned_strategy = plan.strategy
         if plan.strategy != "per-update":

@@ -22,23 +22,12 @@ make the joint handling cheap:
 
 * :mod:`repro.batching.planner` — the **adaptive execution planner**.
   One decision point that routes each batch to per-update, coalesced or
-  partitioned-coalesced maintenance via an explicit, serializable
+  partitioned-coalesced maintenance via an explicit, hand-calibrated
   :class:`~repro.batching.planner.CostModel`; algorithms expose it as
   ``batch_plan="auto" | "per-update" | "coalesced" | "partitioned"``
   (``"auto"`` is the default — see
   :class:`repro.algorithms.base.GPNMAlgorithm`) and surface each
   decision as a :class:`~repro.batching.planner.PlanReport`.
-
-* :mod:`repro.batching.telemetry` / :mod:`repro.batching.calibrate` —
-  the planner's **self-calibration loop**.  Every maintained batch
-  emits a :class:`~repro.batching.telemetry.PlanObservation` (predicted
-  cost vs measured maintenance time) into a bounded, persistable
-  :class:`~repro.batching.telemetry.TelemetryLog`;
-  :func:`~repro.batching.calibrate.refit_cost_model` least-squares
-  refits the cost model from those observations (guarded against fits
-  that predict held-out observations worse than the incumbent), either
-  offline (the CI calibration job) or online
-  (``recalibrate_every`` / ``--recalibrate-every``).
 
 With a coalescing route chosen, the cost of a subsequent query scales
 with the *net* delta of the batch instead of the raw update count.
@@ -56,7 +45,6 @@ from repro.batching.planner import (
     estimate_costs,
     plan_batch,
 )
-from repro.batching.telemetry import PlanObservation, TelemetryLog
 
 __all__ = [
     "CompilationReport",
@@ -72,12 +60,4 @@ __all__ = [
     "PlanReport",
     "estimate_costs",
     "plan_batch",
-    "PlanObservation",
-    "TelemetryLog",
 ]
-
-# NOTE: repro.batching.calibrate (refit_cost_model, refit_report,
-# planner_choice_accuracy, RefitReport) is deliberately not re-exported
-# here: the module doubles as `python -m repro.batching.calibrate`, and
-# importing it from the package __init__ would leave it pre-imported in
-# sys.modules when runpy executes it.  Import it directly.

@@ -51,16 +51,13 @@ runner records.
 from __future__ import annotations
 
 import dataclasses
-import json
 from collections.abc import Iterable
 from dataclasses import dataclass, field
-from pathlib import Path
-from typing import Optional, Union
+from typing import Optional
 
 from repro.batching.coalesce import DEFAULT_COALESCE_MIN_BATCH
 from repro.batching.compiler import CompilationReport
 from repro.graph.updates import GraphKind, Update
-from repro.ioutil import atomic_write_text
 
 #: The three executable maintenance strategies.
 STRATEGY_PER_UPDATE = "per-update"
@@ -99,47 +96,18 @@ PLAN_CHOICES: tuple[str, ...] = (STRATEGY_AUTO,) + STRATEGIES
 #   (1.4-2.2x vs the per-kernel 1.2-1.7x), hence the dense discount.
 # ----------------------------------------------------------------------
 
-#: On-disk JSON layout version of a serialized :class:`CostModel`.
-#: Version 2 added the backend feature column (``dense_per_update_factor``
-#: + ``dense_coalesced_insert_discount``); version-1 payloads still load,
-#: with the column's coefficients at their neutral defaults.
-COST_MODEL_FORMAT_VERSION: int = 2
-
-#: The fields of :class:`CostModel` that are fitted coefficients (the
-#: serializer and the refit machinery enumerate exactly these).
-COST_MODEL_COEFFICIENTS: tuple[str, ...] = (
-    "coalesce_fixed_overhead",
-    "coalesced_insert_factor",
-    "coalesced_delete_factor",
-    "dense_coalesced_discount",
-    "partitioned_delete_factor",
-    "partition_overhead_per_node",
-    "partition_fixed_overhead",
-    "insert_route_threshold",
-    "dense_per_update_factor",
-    "dense_coalesced_insert_discount",
-)
-
-#: Coefficients absent from pre-v2 payloads, with the neutral defaults
-#: they load as (the backend feature column; see :meth:`CostModel.
-#: from_dict`).
-_OPTIONAL_COEFFICIENT_DEFAULTS: dict[str, float] = {
-    "dense_per_update_factor": 1.0,
-    "dense_coalesced_insert_discount": 1.0,
-}
-
 
 @dataclass(frozen=True)
 class CostModel:
-    """The planner's linear cost model, as an explicit serializable value.
+    """The planner's linear cost model, as an explicit immutable value.
 
     All coefficients are in per-update units (the per-update strategy
     costs exactly ``data_updates`` by construction, so it has no free
-    coefficient).  The defaults are the shipped hand calibration; the
-    online recalibration machinery (:mod:`repro.batching.calibrate`)
-    refits the coefficients from execution telemetry and bumps
-    ``version``, so a planner can tell a refit model from the incumbent
-    it was derived from.
+    coefficient).  The defaults are the shipped hand calibration from
+    ``BENCH_batching.json`` and ``BENCH_slen_backend.json``
+    (:data:`DEFAULT_COST_MODEL`); a caller that wants different routing
+    passes its own model to :func:`plan_batch` or to an algorithm's
+    ``cost_model``.
 
     Attributes
     ----------
@@ -175,11 +143,6 @@ class CostModel:
         ``coalesced_insert_factor`` when the backend is dense (the
         blocked rank-1 relaxation amortises differently from the sparse
         Python loop; 1.0 = neutral).
-    version:
-        Monotonic calibration generation (1 = the shipped model; a refit
-        bumps it).
-    calibrated_from:
-        Human-readable provenance of the coefficients.
     """
 
     coalesce_fixed_overhead: float = 16.0
@@ -192,8 +155,6 @@ class CostModel:
     insert_route_threshold: float = 0.75
     dense_per_update_factor: float = 1.0
     dense_coalesced_insert_discount: float = 1.0
-    version: int = 1
-    calibrated_from: str = "BENCH_batching.json + BENCH_slen_backend.json (hand-calibrated)"
 
     def estimate(self, statistics: "BatchStatistics") -> dict[str, float]:
         """Per-strategy cost estimates for one batch, in per-update units.
@@ -230,67 +191,6 @@ class CostModel:
                 + deletions * self.partitioned_delete_factor
             )
         return costs
-
-    # ------------------------------------------------------------------
-    # Serialization (versioned JSON)
-    # ------------------------------------------------------------------
-    def as_dict(self) -> dict:
-        """Plain-dict form (the JSON layout of :meth:`save_json`)."""
-        return {
-            "format_version": COST_MODEL_FORMAT_VERSION,
-            "version": self.version,
-            "calibrated_from": self.calibrated_from,
-            "coefficients": {
-                name: getattr(self, name) for name in COST_MODEL_COEFFICIENTS
-            },
-        }
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "CostModel":
-        """Rebuild a model from :meth:`as_dict` output (strictly validated).
-
-        Accepts the current layout and version-1 payloads (written
-        before the backend feature column existed); the column's
-        coefficients load at their neutral defaults in that case.
-        """
-        if not isinstance(payload, dict):
-            raise ValueError(f"cost model payload must be a dict, got {type(payload).__name__}")
-        fmt = payload.get("format_version")
-        if fmt not in (1, COST_MODEL_FORMAT_VERSION):
-            raise ValueError(
-                f"unsupported cost model format_version {fmt!r}; "
-                f"expected {COST_MODEL_FORMAT_VERSION} (or the legacy 1)"
-            )
-        coefficients = dict(payload.get("coefficients", {}))
-        unknown = sorted(set(coefficients) - set(COST_MODEL_COEFFICIENTS))
-        if unknown:
-            raise ValueError(f"unknown cost model coefficients {unknown}")
-        if fmt == 1:
-            # Only legacy payloads may omit the backend feature column;
-            # a current-format payload missing it is malformed.
-            for name, default in _OPTIONAL_COEFFICIENT_DEFAULTS.items():
-                coefficients.setdefault(name, default)
-        missing = sorted(set(COST_MODEL_COEFFICIENTS) - set(coefficients))
-        if missing:
-            raise ValueError(f"missing cost model coefficients {missing}")
-        return cls(
-            version=int(payload.get("version", 1)),
-            calibrated_from=str(payload.get("calibrated_from", "")),
-            **{name: float(coefficients[name]) for name in COST_MODEL_COEFFICIENTS},
-        )
-
-    def save_json(self, path: Union[str, Path]) -> None:
-        """Write the model to ``path`` as versioned JSON.
-
-        Atomic (temp file + ``os.replace``): service instances hot-reload
-        this artifact, so a reader must never see a half-written model.
-        """
-        atomic_write_text(path, json.dumps(self.as_dict(), indent=2) + "\n")
-
-    @classmethod
-    def load_json(cls, path: Union[str, Path]) -> "CostModel":
-        """Load a model previously written by :meth:`save_json`."""
-        return cls.from_dict(json.loads(Path(path).read_text()))
 
     def replace(self, **changes) -> "CostModel":
         """A copy with ``changes`` applied (wrapper over dataclasses.replace)."""
@@ -473,7 +373,7 @@ def plan_batch(
     rule 1 — the planner rule that subsumes the old static
     ``coalesce_min_batch`` guard.  ``model`` selects the
     :class:`CostModel` the estimates come from (``None`` = the shipped
-    default; online recalibration swaps in refit models here).
+    :data:`DEFAULT_COST_MODEL`).
     """
     if requested not in PLAN_CHOICES:
         raise ValueError(

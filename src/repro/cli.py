@@ -21,10 +21,6 @@ per-update, coalesced or partitioned-coalesced SLen maintenance —
 
     ua-gpnm table-xi --batch-plan per-update
 
-Record planner telemetry and recalibrate the cost model online::
-
-    ua-gpnm table-xi --telemetry-out telemetry.json --recalibrate-every 50
-
 Run the quick grid on the dense NumPy SLen backend (or ``auto``, which
 picks dense above a node-count threshold)::
 
@@ -134,38 +130,6 @@ def _add_common_options(parser: argparse.ArgumentParser, suppress: bool) -> None
             "ignored by the sparse backend"
         ),
     )
-    parser.add_argument(
-        "--telemetry-out",
-        default=default(None),
-        metavar="PATH",
-        help=(
-            "record planner telemetry (predicted cost vs measured "
-            "maintenance time per batch) and write it here as JSON; feed "
-            "the file to `python -m repro.batching.calibrate` to refit "
-            "the cost model"
-        ),
-    )
-    parser.add_argument(
-        "--recalibrate-every",
-        type=int,
-        default=default(None),
-        metavar="N",
-        help=(
-            "online recalibration: refit the planner's cost model after "
-            "every N telemetry observations and route subsequent cells "
-            "with the refit model (0 disables; default 0)"
-        ),
-    )
-    parser.add_argument(
-        "--cost-model",
-        default=default(None),
-        metavar="PATH",
-        help=(
-            "load the planner's cost model from this JSON file (e.g. a "
-            "refit written by repro.batching.calibrate) instead of the "
-            "shipped calibration"
-        ),
-    )
 
 
 #: ``--help`` epilog: how the execution planner selects a strategy.
@@ -188,10 +152,10 @@ batch plan strategy selection (--batch-plan):
                  (Section V); requires a partition (UA-GPNM), pays off
                  on large deletion volumes
 
-  'auto' (the default since the planner soaked behind the differential,
-  strategy-equivalence and calibration gates) picks per batch via a
-  small cost model (shipped calibration from BENCH_batching.json, or a
-  refit loaded with --cost-model): batches under --coalesce-min-batch
+  'auto' (the default since the planner soaked behind the differential
+  and strategy-equivalence gates) picks per batch via a small cost
+  model hand-calibrated from BENCH_batching.json and
+  BENCH_slen_backend.json: batches under --coalesce-min-batch
   or dominated by insertions stay per-update (insert coalescing is a
   structural non-win); deletion-bearing batches above the crossover go
   coalesced, and partitioned when a partition is available and the
@@ -208,22 +172,6 @@ SLen backend selection (--slen-backend / --dense-block-size):
   dense backend stays usable past 10^4 nodes.  auto picks dense at or
   above 256 nodes.  See the README's "choosing a backend" guide and
   BENCH_slen_backend.json.
-
-planner telemetry and recalibration:
-  --telemetry-out records one observation per maintained batch (the
-  planner's predicted per-strategy costs vs the measured maintenance
-  wall-clock) and writes the log as JSON at the end of the run.  Refit
-  the cost model from one or more such logs with
-
-    python -m repro.batching.calibrate telemetry.json --out model.json
-
-  (least-squares refit per strategy, with a guard that keeps the
-  incumbent coefficients when the fit predicts held-out observations
-  worse) and feed the refit model back via --cost-model.
-
-  --recalibrate-every N does the same online: after every N new
-  observations the runner refits mid-run and all subsequent cells are
-  routed with the refit model.
 
 multi-pattern subscription serving (serve --patterns):
   One served graph can hold many standing patterns.  Each settle runs
@@ -707,12 +655,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         config = dataclasses.replace(config, slen_backend=args.slen_backend)
     if getattr(args, "dense_block_size", None) is not None:
         config = dataclasses.replace(config, dense_block_size=args.dense_block_size)
-    if getattr(args, "telemetry_out", None) is not None:
-        config = dataclasses.replace(config, telemetry_path=args.telemetry_out)
-    if getattr(args, "recalibrate_every", None) is not None:
-        config = dataclasses.replace(config, recalibrate_every=args.recalibrate_every)
-    if getattr(args, "cost_model", None) is not None:
-        config = dataclasses.replace(config, cost_model_path=args.cost_model)
 
     if args.command == "serve":
         return _run_serve(args, config)

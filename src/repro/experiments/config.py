@@ -67,21 +67,6 @@ class ExperimentConfig:
         Block edge of the blocked dense ``SLen`` layout (``None`` uses
         :data:`repro.spl.dense.DEFAULT_DENSE_BLOCK_SIZE`); ignored when
         the sparse backend is selected (CLI: ``--dense-block-size``).
-    telemetry_path:
-        When set, every maintained batch's planner observation
-        (prediction vs. measured maintenance time) is collected in a
-        :class:`~repro.batching.telemetry.TelemetryLog` and persisted
-        here as JSON at the end of the run (CLI: ``--telemetry-out``).
-    recalibrate_every:
-        Online recalibration cadence: after every N new telemetry
-        observations the runner refits the cost model
-        (:func:`repro.batching.calibrate.refit_cost_model`) and hands
-        the refit model to all subsequent cells.  0 disables (CLI:
-        ``--recalibrate-every``).
-    cost_model_path:
-        Load the planner's starting
-        :class:`~repro.batching.planner.CostModel` from this JSON file
-        instead of the shipped calibration (CLI: ``--cost-model``).
     service_deadline_seconds:
         Streaming-service latency deadline: how long an accepted delta
         may sit buffered before the service cuts the batch even though
@@ -123,9 +108,6 @@ class ExperimentConfig:
     slen_backend: str = "sparse"
     dense_block_size: Optional[int] = None
     batch_plan: Optional[str] = "auto"
-    telemetry_path: Optional[str] = None
-    recalibrate_every: int = 0
-    cost_model_path: Optional[str] = None
     service_deadline_seconds: float = 0.05
     service_max_buffer: int = 1024
     journal_dir: Optional[str] = None
@@ -152,8 +134,6 @@ class ExperimentConfig:
             raise ValueError(
                 f"unknown batch_plan {self.batch_plan!r}; expected one of {PLAN_CHOICES}"
             )
-        if self.recalibrate_every < 0:
-            raise ValueError("recalibrate_every must be non-negative")
         if self.service_deadline_seconds < 0:
             raise ValueError("service_deadline_seconds must be non-negative")
         if self.service_max_buffer < 1:

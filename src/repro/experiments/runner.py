@@ -22,8 +22,6 @@ from typing import Optional
 
 from repro.algorithms.base import GPNMAlgorithm
 from repro.batching.coalesce import DEFAULT_COALESCE_MIN_BATCH
-from repro.batching.planner import DEFAULT_COST_MODEL, CostModel
-from repro.batching.telemetry import TelemetryLog
 from repro.algorithms.eh_gpnm import EHGPNM
 from repro.algorithms.inc_gpnm import IncGPNM
 from repro.algorithms.scratch import BatchGPNM
@@ -72,8 +70,7 @@ class MeasurementRecord:
     batch_plan: str = "auto"
     plan_strategy: str = ""
     #: Wall-clock of the batch's ``SLen`` maintenance alone — the
-    #: per-batch timing planner telemetry records against the cost
-    #: model's prediction.
+    #: quantity the planner's cost model predicts.
     maintenance_seconds: float = 0.0
 
 
@@ -108,8 +105,6 @@ def run_cell(
     slen_backend: str = "sparse",
     dense_block_size: Optional[int] = None,
     batch_plan: Optional[str] = None,
-    telemetry: Optional[TelemetryLog] = None,
-    cost_model: Optional[CostModel] = None,
 ) -> list[MeasurementRecord]:
     """Run every method of one grid cell and return its measurement records."""
     if batch_plan is None:
@@ -155,8 +150,6 @@ def run_cell(
             coalesce_min_batch=coalesce_min_batch,
             slen_backend=slen_backend,
             dense_block_size=dense_block_size,
-            telemetry=telemetry,
-            cost_model=cost_model,
         )
         outcome = algorithm.subsequent_query(batch)
         matches_oracle = None
@@ -201,130 +194,70 @@ def run_experiment(
     config: ExperimentConfig,
     verify_against_oracle: bool = False,
     progress: Optional[Callable[[str], None]] = None,
-    telemetry: Optional[TelemetryLog] = None,
 ) -> list[MeasurementRecord]:
-    """Run the whole grid described by ``config``.
-
-    When ``config.telemetry_path`` or ``config.recalibrate_every`` is
-    set (or a ``telemetry`` log is passed explicitly), every maintained
-    batch records a planner observation — the PlanReport's predicted
-    costs paired with the measured maintenance seconds.  With
-    ``recalibrate_every`` > 0 the runner refits the cost model after
-    every N new observations and the refit model routes all subsequent
-    cells; the final log is persisted to ``config.telemetry_path``.
-    """
+    """Run the whole grid described by ``config``."""
     records: list[MeasurementRecord] = []
     cache: dict[tuple[str, tuple[int, int]], tuple[DataGraph, PatternGraph, SLenMatrix, MatchResult]] = {}
-    if telemetry is None and (config.telemetry_path or config.recalibrate_every):
-        telemetry = TelemetryLog()
-    cost_model: Optional[CostModel] = (
-        CostModel.load_json(config.cost_model_path) if config.cost_model_path else None
-    )
-    schedule = None
-    if config.recalibrate_every:
-        # Imported lazily so `python -m repro.batching.calibrate` never
-        # finds the module pre-imported (same invariant as base.py).
-        from repro.batching.calibrate import RecalibrationSchedule
-
-        schedule = RecalibrationSchedule(
-            config.recalibrate_every,
-            cost_model,
-            # Only *new* observations count toward the cadence when the
-            # caller hands in a pre-populated log.
-            observed=telemetry.total_recorded if telemetry is not None else 0,
+    for dataset_name, pattern_size, delta_scale, repetition in iter_cells(config):
+        key = (dataset_name, pattern_size)
+        if key not in cache:
+            data = load_dataset(dataset_name, scale=config.dataset_scale)
+            # Labels are passed in tier order and the pattern respects it so
+            # that pattern edges follow the dominant direction of the
+            # synthetic social graphs (otherwise most initial queries would
+            # be empty and the matching work would be trivial).
+            ordered_labels = tuple(
+                label for label in DEFAULT_LABEL_ORDER if label in data.labels()
+            ) or tuple(sorted(data.labels()))
+            pattern = generate_pattern(
+                PatternSpec(
+                    num_nodes=pattern_size[0],
+                    num_edges=pattern_size[1],
+                    labels=ordered_labels,
+                    min_bound=2,
+                    max_bound=3,
+                    star_probability=0.0,
+                    respect_label_order=True,
+                    seed=config.seed + pattern_size[0],
+                )
+            )
+            slen = SLenMatrix.from_graph(
+                data,
+                horizon=SLEN_HORIZON,
+                backend=config.slen_backend,
+                dense_block_size=config.dense_block_size,
+            )
+            iquery = gpnm_query(pattern, data, slen, enforce_totality=False)
+            cache[key] = (data, pattern, slen, iquery)
+        data, pattern, slen, iquery = cache[key]
+        cell_seed = (
+            config.seed
+            + 7919 * repetition
+            + 31 * delta_scale[1]
+            + 17 * pattern_size[0]
+            + sum(ord(ch) for ch in dataset_name)
         )
-    try:
-        for dataset_name, pattern_size, delta_scale, repetition in iter_cells(config):
-            key = (dataset_name, pattern_size)
-            if key not in cache:
-                data = load_dataset(dataset_name, scale=config.dataset_scale)
-                # Labels are passed in tier order and the pattern respects it so
-                # that pattern edges follow the dominant direction of the
-                # synthetic social graphs (otherwise most initial queries would
-                # be empty and the matching work would be trivial).
-                ordered_labels = tuple(
-                    label for label in DEFAULT_LABEL_ORDER if label in data.labels()
-                ) or tuple(sorted(data.labels()))
-                pattern = generate_pattern(
-                    PatternSpec(
-                        num_nodes=pattern_size[0],
-                        num_edges=pattern_size[1],
-                        labels=ordered_labels,
-                        min_bound=2,
-                        max_bound=3,
-                        star_probability=0.0,
-                        respect_label_order=True,
-                        seed=config.seed + pattern_size[0],
-                    )
-                )
-                slen = SLenMatrix.from_graph(
-                    data,
-                    horizon=SLEN_HORIZON,
-                    backend=config.slen_backend,
-                    dense_block_size=config.dense_block_size,
-                )
-                iquery = gpnm_query(pattern, data, slen, enforce_totality=False)
-                cache[key] = (data, pattern, slen, iquery)
-            data, pattern, slen, iquery = cache[key]
-            cell_seed = (
-                config.seed
-                + 7919 * repetition
-                + 31 * delta_scale[1]
-                + 17 * pattern_size[0]
-                + sum(ord(ch) for ch in dataset_name)
+        if progress is not None:
+            progress(
+                f"{dataset_name} pattern={pattern_size} dG={delta_scale} rep={repetition}"
             )
-            if progress is not None:
-                progress(
-                    f"{dataset_name} pattern={pattern_size} dG={delta_scale} rep={repetition}"
-                )
-            records.extend(
-                run_cell(
-                    data,
-                    pattern,
-                    delta_scale,
-                    config.methods,
-                    seed=cell_seed,
-                    dataset_name=dataset_name,
-                    pattern_size=pattern_size,
-                    repetition=repetition,
-                    verify_against_oracle=verify_against_oracle,
-                    shared_slen=slen,
-                    shared_iquery=iquery,
-                    coalesce_min_batch=config.coalesce_min_batch,
-                    slen_backend=config.slen_backend,
-                    dense_block_size=config.dense_block_size,
-                    batch_plan=config.batch_plan,
-                    telemetry=telemetry,
-                    cost_model=cost_model,
-                )
+        records.extend(
+            run_cell(
+                data,
+                pattern,
+                delta_scale,
+                config.methods,
+                seed=cell_seed,
+                dataset_name=dataset_name,
+                pattern_size=pattern_size,
+                repetition=repetition,
+                verify_against_oracle=verify_against_oracle,
+                shared_slen=slen,
+                shared_iquery=iquery,
+                coalesce_min_batch=config.coalesce_min_batch,
+                slen_backend=config.slen_backend,
+                dense_block_size=config.dense_block_size,
+                batch_plan=config.batch_plan,
             )
-            # Online recalibration: once enough new observations accrued,
-            # refit and route every subsequent cell with the refit model
-            # (the guard inside refit keeps the incumbent when the fit is
-            # worse on held-out observations).
-            if schedule is not None and telemetry is not None:
-                baseline_version = (
-                    cost_model.version
-                    if cost_model is not None
-                    else DEFAULT_COST_MODEL.version
-                )
-                refit = schedule.maybe_refit(telemetry)
-                if refit is not None:
-                    cost_model = refit
-                    # A rejected refit returns the incumbent (same
-                    # version): report only when something was learned.
-                    if refit.version > baseline_version and progress is not None:
-                        progress(
-                            f"recalibrated cost model (v{cost_model.version}) from "
-                            f"{telemetry.total_recorded} observations"
-                        )
-    finally:
-        # Persist whatever was observed even when a cell blows up
-        # mid-grid: partial telemetry is exactly the evidence needed
-        # to diagnose the failure (same rationale as the CI job's
-        # always() artifact upload).
-        if telemetry is not None and config.telemetry_path:
-            telemetry.save(config.telemetry_path)
-            if progress is not None:
-                progress(f"telemetry written to {config.telemetry_path}")
+        )
     return records

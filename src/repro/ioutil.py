@@ -2,13 +2,10 @@
 
 Two durability primitives live here:
 
-* :func:`atomic_write_text` — several artifacts in this repository are
-  *consumed while they are being produced* (the calibration job reads
-  telemetry logs another process is still appending to, the streaming
-  service hot-reloads cost-model JSON written by a periodic refit, and
-  journal compaction rewrites a log a recovery may read next).  A plain
-  ``Path.write_text`` truncates the file first, so a reader (or a crash)
-  mid-write observes a corrupt artifact.  Writing to a temporary file in
+* :func:`atomic_write_text` — journal compaction rewrites a log that
+  the next recovery reads.  A plain ``Path.write_text`` truncates the
+  file first, so a reader (or a crash) mid-write observes a corrupt
+  artifact.  Writing to a temporary file in
   the same directory, fsyncing it, :func:`os.replace`-ing it over the
   target and fsyncing the *directory* makes the swap atomic **and**
   power-loss durable: after a crash the file is either the old complete

@@ -199,8 +199,8 @@ def flaky_algorithm_factory(
 
     remaining = {"count": fail_times}
 
-    def factory(pattern, data, config, telemetry):
-        algorithm = base_factory(pattern, data, config, telemetry)
+    def factory(pattern, data, config):
+        algorithm = base_factory(pattern, data, config)
         inner = algorithm.subsequent_query
 
         def wrapped(batch):

@@ -98,10 +98,8 @@ from repro.batching.planner import (
     STRATEGY_AUTO,
     STRATEGY_PER_UPDATE,
     BatchStatistics,
-    CostModel,
     plan_batch,
 )
-from repro.batching.telemetry import TelemetryLog
 from repro.graph import DataGraph, PatternGraph
 from repro.graph.updates import (
     EdgeDeletion,
@@ -125,6 +123,7 @@ from repro.service.journal import (
     DEFAULT_COMPACT_BYTES,
     DeadLetterJournal,
     GraphJournal,
+    JournalError,
     journal_slug,
 )
 from repro.service.queue import ActionScheduler, QueueClosedError
@@ -192,11 +191,6 @@ class ServiceConfig:
         label partition (Section V).
     slen_backend / dense_block_size:
         ``SLen`` storage knobs, passed through to the algorithm.
-    telemetry_path:
-        When set, the service's shared telemetry log is saved here on
-        :meth:`StreamingUpdateService.close`.
-    recalibrate_every / cost_model_path:
-        Planner calibration knobs, passed through to the algorithm.
     journal_dir:
         Directory for per-graph write-ahead journals.  ``None`` (the
         default) disables durability: accepted-but-unsettled deltas die
@@ -238,9 +232,6 @@ class ServiceConfig:
     use_partition: bool = True
     slen_backend: str = "sparse"
     dense_block_size: Optional[int] = None
-    telemetry_path: Optional[str] = None
-    recalibrate_every: int = 0
-    cost_model_path: Optional[str] = None
     journal_dir: Optional[str] = None
     journal_compact_bytes: int = DEFAULT_COMPACT_BYTES
     settle_retries: int = 2
@@ -261,8 +252,6 @@ class ServiceConfig:
             raise ValueError(
                 f"unknown batch_plan {self.batch_plan!r}; expected one of {PLAN_CHOICES}"
             )
-        if self.recalibrate_every < 0:
-            raise ValueError("recalibrate_every must be non-negative")
         if self.journal_compact_bytes < 1:
             raise ValueError("journal_compact_bytes must be positive")
         if self.settle_retries < 0:
@@ -284,9 +273,6 @@ class ServiceConfig:
             batch_plan=config.batch_plan or STRATEGY_AUTO,
             slen_backend=config.slen_backend,
             dense_block_size=config.dense_block_size,
-            telemetry_path=config.telemetry_path,
-            recalibrate_every=config.recalibrate_every,
-            cost_model_path=config.cost_model_path,
             journal_dir=config.journal_dir,
             settle_retries=config.service_settle_retries,
             snapshot_history=config.service_snapshot_history,
@@ -483,19 +469,13 @@ class _GraphSession:
 #: Builds the per-graph algorithm; injectable for tests (e.g. a slow
 #: settle wrapper proving reads do not block, or the fault harness's
 #: flaky wrapper proving retry and quarantine).
-AlgorithmFactory = Callable[[PatternGraph, DataGraph, "ServiceConfig", Optional[TelemetryLog]], GPNMAlgorithm]
+AlgorithmFactory = Callable[[PatternGraph, DataGraph, "ServiceConfig"], GPNMAlgorithm]
 
 
 def default_algorithm_factory(
-    pattern: PatternGraph,
-    data: DataGraph,
-    config: ServiceConfig,
-    telemetry: Optional[TelemetryLog],
+    pattern: PatternGraph, data: DataGraph, config: ServiceConfig
 ) -> GPNMAlgorithm:
     """The stock factory: UA-GPNM wired to the service's tunables."""
-    cost_model = None
-    if config.cost_model_path:
-        cost_model = CostModel.load_json(config.cost_model_path)
     return UAGPNM(
         pattern,
         data,
@@ -504,9 +484,6 @@ def default_algorithm_factory(
         coalesce_min_batch=config.coalesce_min_batch,
         slen_backend=config.slen_backend,
         dense_block_size=config.dense_block_size,
-        cost_model=cost_model,
-        telemetry=telemetry,
-        recalibrate_every=config.recalibrate_every,
     )
 
 
@@ -529,9 +506,6 @@ class StreamingUpdateService:
         self._faults = faults if faults is not None else NULL_INJECTOR
         self._scheduler = ActionScheduler()
         self._sessions: dict[str, _GraphSession] = {}
-        #: One log shared by every graph's algorithm — the reason
-        #: TelemetryLog.record is lock-guarded.
-        self.telemetry = TelemetryLog()
         self._closed = False
 
     # ------------------------------------------------------------------
@@ -581,7 +555,7 @@ class StreamingUpdateService:
                 if recovered.base_graph is not None:
                     data = recovered.base_graph
             algorithm = await loop.run_in_executor(
-                None, self._factory, PatternGraph(), data, self.config, self.telemetry
+                None, self._factory, PatternGraph(), data, self.config
             )
             base_version = recovered.checkpoint_version if recovered is not None else 0
             restored: dict[str, Subscription] = {}
@@ -1046,10 +1020,13 @@ class StreamingUpdateService:
         then go to the journal in one append (one write, one fsync),
         and only after it returns do the receipts resolve and the
         settle for the group's cuts get scheduled.  If the append
-        raises, no receipt resolves: every one gets the exception.
+        raises, no receipt resolves: every one gets the exception, and
+        the group's deltas are rolled back out of the cut batches, the
+        buffer and the staged graph.
         """
         session.waiting_groups.remove(group)
         journal = session.journal
+        before = (len(session.cuts), len(session.buffer), session.last_seq)
         journaled: list[list[Update]] = []
         receipts: list[IngestReceipt] = []
         for data, _ in group.members:
@@ -1069,17 +1046,45 @@ class StreamingUpdateService:
             )
         if journaled:
             # Write-ahead: no receipt below may exist before the deltas
-            # are on disk.  (A failed append leaves them in memory only,
-            # and no receipt was issued for them.)
-            await asyncio.get_running_loop().run_in_executor(
-                None, journal.append_delta, *journaled
-            )
+            # are on disk.
+            try:
+                await asyncio.get_running_loop().run_in_executor(
+                    None, journal.append_delta, *journaled
+                )
+            except (OSError, JournalError) as exc:
+                await self._roll_back_group(session, *before, exc)
+                raise
         for (_, future), receipt in zip(group.members, receipts):
             session.accepted += receipt.accepted
             session.rejected += receipt.rejected
             if not future.done():
                 future.set_result(receipt)
         self._queue_settle(session)
+
+    async def _roll_back_group(
+        self,
+        session: _GraphSession,
+        cuts: int,
+        buffered: int,
+        last_seq: int,
+        error: Exception,
+    ) -> None:
+        """Drop the deltas of an ingest group whose journal append failed.
+
+        No receipt covers them and no restart would recover them, so
+        they must not settle.  The group action is serial, so its deltas
+        are the tail of the cut batches plus the buffer: the group's
+        first cut (if any) swapped out the ``buffered`` deltas that were
+        buffered before it.  The staged graph is then rebuilt without
+        the group.
+        """
+        if len(session.cuts) > cuts:
+            session.buffer = session.cuts[cuts][0][:buffered]
+            del session.cuts[cuts:]
+        else:
+            session.buffer = session.buffer[:buffered]
+        session.last_seq = last_seq
+        await self._restage(session, f"invalidated by failed journal append {error!r}")
 
     async def _replay_ingest(
         self, session: _GraphSession, updates: list[Update], seq: int
@@ -1250,7 +1255,8 @@ class StreamingUpdateService:
         started = loop.time()
         self._faults.hit(PRE_SETTLE)
         try:
-            await self._settle_with_recovery(session, batch)
+            if len(batch):  # restaging can empty a waiting cut batch
+                await self._settle_with_recovery(session, batch)
         finally:
             session.settle_seconds += loop.time() - started
         if session.journal is not None and seq_high > session.journal.checkpoint_seq:
@@ -1306,16 +1312,15 @@ class StreamingUpdateService:
         # Bounded retries exhausted: the batch contains at least one
         # poison delta.  Isolate it so the rest of the graph lives on.
         await self._bisect(session, list(batch), last_error)
+        await self._restage(session, f"invalidated by quarantine of {last_error!r}")
+
+    async def _restage(self, session: _GraphSession, reason: str) -> None:
+        """Rebuild the staged graph and dead-letter every delta it loses."""
         dropped = await asyncio.get_running_loop().run_in_executor(
             None, self._resync_staged, session
         )
         for update in dropped:
-            await self._quarantine(
-                session,
-                update,
-                f"invalidated by quarantine of {last_error!r}",
-                kind="cascade",
-            )
+            await self._quarantine(session, update, reason, kind="cascade")
 
     async def _attempt_settle(self, session: _GraphSession, batch: UpdateBatch) -> None:
         """One all-or-nothing settle attempt; raises the kernel's error.
@@ -1541,7 +1546,7 @@ class StreamingUpdateService:
         published snapshot's own graph: the algorithm constructor
         copies its data argument, so the frozen snapshot stays frozen.
         """
-        algorithm = self._factory(PatternGraph(), base, self.config, self.telemetry)
+        algorithm = self._factory(PatternGraph(), base, self.config)
         session.algorithm = algorithm
         session.rebuilds += 1
         snapshot = self._initial_snapshot(
@@ -1577,18 +1582,27 @@ class StreamingUpdateService:
 
     @staticmethod
     def _resync_staged(session: _GraphSession) -> list[Update]:
-        """Rebuild the staged graph after a quarantine; returns the drops.
+        """Rebuild the staged graph from the settled state; returns the drops.
 
-        The algorithm's state is authoritative; the still-buffered
-        deltas are re-validated against a *copy* of it and survivors
+        The algorithm's state is authoritative.  The cut batches still
+        waiting for their settle, in cut order, and then the buffer are
+        re-validated against a *copy* of it and their survivors
         re-applied (a quarantined delta can invalidate deltas that were
-        accepted against state that never materialised).  Returns the
-        invalidated updates so the caller can dead-letter them — an
-        accepted delta is never silently dropped.
+        accepted against state that never materialised).  Each cut
+        batch keeps its place and seq high mark, even when it loses
+        every delta, so a settle iterating ``cuts`` stays aligned and
+        the checkpoint still advances.  Returns the invalidated updates
+        so the caller can dead-letter them — an accepted delta is never
+        silently dropped.
         """
         staged = session.algorithm.data.copy()
+        dropped: list[tuple[Update, str]] = []
+        for index, (batch, seq_high) in enumerate(session.cuts):
+            survivors = UpdateBatch()
+            dropped += _stage(staged, survivors, batch)[1]
+            session.cuts[index] = (survivors, seq_high)
         survivors = UpdateBatch()
-        _, dropped = _stage(staged, survivors, session.buffer)
+        dropped += _stage(staged, survivors, session.buffer)[1]
         session.buffer = survivors
         session.staged = staged
         return [update for update, _ in dropped]
@@ -1744,8 +1758,6 @@ class StreamingUpdateService:
             async def _drain_cut(session=session) -> None:
                 if len(session.buffer):
                     self._cut(session, CUT_DRAIN)
-                # Also covers cut batches an ingest group left behind
-                # when its journal append failed.
                 self._queue_settle(session)
 
             self._scheduler.schedule(session.key, _drain_cut)
@@ -1761,7 +1773,7 @@ class StreamingUpdateService:
         await self._scheduler.drain()
 
     async def close(self) -> None:
-        """Drain, stop all queue workers, persist telemetry.  Idempotent."""
+        """Drain, stop all queue workers, close the journals.  Idempotent."""
         if self._closed:
             return
         await self.drain()
@@ -1770,8 +1782,6 @@ class StreamingUpdateService:
         for session in self._sessions.values():
             if session is not None and session.journal is not None:
                 session.journal.close()
-        if self.config.telemetry_path and len(self.telemetry):
-            self.telemetry.save(self.config.telemetry_path)
 
     async def abort(self) -> None:
         """Simulated ``kill -9``: stop everything without settling.

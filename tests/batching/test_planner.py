@@ -162,29 +162,10 @@ class TestCostModelParameter:
         cheap_dense = DEFAULT_COST_MODEL.replace(dense_per_update_factor=0.05)
         assert plan_batch(s, model=cheap_dense).strategy == "per-update"
 
-    def test_v1_payload_loads_with_neutral_column(self):
-        """Pre-column CostModel JSON still loads (format_version 1)."""
-        payload = DEFAULT_COST_MODEL.as_dict()
-        payload["format_version"] = 1
-        for name in ("dense_per_update_factor", "dense_coalesced_insert_discount"):
-            del payload["coefficients"][name]
-        loaded = CostModel.from_dict(payload)
-        assert loaded.dense_per_update_factor == 1.0
-        assert loaded.dense_coalesced_insert_discount == 1.0
-        assert loaded.coalesce_fixed_overhead == DEFAULT_COST_MODEL.coalesce_fixed_overhead
-
-    def test_current_format_must_carry_the_column(self):
-        """A format_version-2 payload missing the backend feature
-        column is malformed, not silently neutral."""
-        payload = DEFAULT_COST_MODEL.as_dict()
-        del payload["coefficients"]["dense_per_update_factor"]
-        with pytest.raises(ValueError, match="missing cost model coefficients"):
-            CostModel.from_dict(payload)
-
     def test_algorithms_expose_active_model(self):
         from tests.conftest import make_random_graph, make_random_pattern
 
-        custom = CostModel(version=9)
+        custom = CostModel(coalesce_fixed_overhead=8.0)
         engine = UAGPNM(
             make_random_pattern(seed=7), make_random_graph(seed=7), cost_model=custom
         )

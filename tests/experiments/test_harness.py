@@ -51,10 +51,6 @@ class TestConfig:
     def test_batch_plan_defaults_to_auto(self):
         assert ExperimentConfig().batch_plan == "auto"
 
-    def test_invalid_recalibrate_every(self):
-        with pytest.raises(ValueError):
-            ExperimentConfig(recalibrate_every=-1)
-
 
 class TestRunner:
     def test_records_shape(self, tiny_records):
@@ -72,36 +68,6 @@ class TestRunner:
         assert all(record.batch_plan == "auto" for record in tiny_records)
         assert all(record.maintenance_seconds >= 0 for record in tiny_records)
         assert any(record.maintenance_seconds > 0 for record in tiny_records)
-
-    def test_telemetry_persisted_and_refittable(self, tmp_path):
-        import dataclasses
-
-        from repro.batching.telemetry import TelemetryLog
-
-        path = tmp_path / "telemetry.json"
-        config = dataclasses.replace(tiny_config(), telemetry_path=str(path))
-        run_experiment(config)
-        log = TelemetryLog.load(path)
-        # One observation per method per cell (tiny: 1 cell, 4 methods).
-        assert len(log) == len(config.methods)
-        for observation in log:
-            assert observation.elapsed_seconds > 0
-            assert observation.executed in ("per-update", "coalesced", "partitioned")
-            assert observation.requested == "auto"
-
-    def test_online_recalibration_runs(self, tmp_path):
-        """recalibrate_every exercises the runner-level refit; with only
-        small per-update batches the guard keeps the incumbent, but the
-        run must stay correct and persist its telemetry."""
-        import dataclasses
-
-        path = tmp_path / "telemetry.json"
-        config = dataclasses.replace(
-            tiny_config(), telemetry_path=str(path), recalibrate_every=2
-        )
-        records = run_experiment(config, verify_against_oracle=True)
-        assert all(record.matches_oracle for record in records)
-        assert path.exists()
 
     def test_ua_runs_single_pass(self, tiny_records):
         ua = [r for r in tiny_records if r.method == "UA-GPNM"]

@@ -17,7 +17,7 @@ import threading
 import pytest
 
 from repro.graph import DataGraph, PatternGraph
-from repro.graph.updates import EdgeInsertion
+from repro.graph.updates import EdgeInsertion, NodeInsertion
 from repro.service import (
     CRASH_POINTS,
     POST_APPEND,
@@ -375,6 +375,119 @@ def test_quarantine_cascades_to_buffered_dependents(tmp_path):
         expected = make_data()
         expected.add_edge("n1", "n4")
         assert snapshot.data == expected
+        await service.close()
+
+    run(scenario())
+
+
+def test_quarantine_restages_cut_batches_still_waiting_to_settle(tmp_path):
+    # Cut batches queued behind the failing settle are unsettled too.
+    # One ingest group stages three payloads: two capacity cuts
+    # (max_buffer=2) and a buffered delete of an edge the *second* cut
+    # inserts.  The settle takes only the first cut, which holds the
+    # poison.  Restaging after the quarantine must replay the waiting
+    # cut before the buffer: the delete is valid and must settle, and
+    # the staged graph must keep the waiting cut's edges, so a later
+    # duplicate insert of one of them is rejected at submit.
+    async def scenario():
+        def is_poison(update):
+            return (
+                isinstance(update, EdgeInsertion)
+                and update.source == "n0"
+                and update.target == "n2"
+            )
+
+        factory = flaky_algorithm_factory(
+            default_algorithm_factory, poison=is_poison, message="poison kernel bug"
+        )
+        service = StreamingUpdateService(
+            ServiceConfig(
+                journal_dir=str(tmp_path),
+                settle_retries=0,
+                deadline_seconds=30.0,
+                max_buffer=2,
+                coalesce_min_batch=10_000,
+            ),
+            algorithm_factory=factory,
+        )
+        await service.register("g", make_data())
+        await service.subscribe("g", "default", make_pattern())
+        payloads = [
+            {"inserts": [edge_spec("n0", "n2"), edge_spec("n0", "n3")]},
+            {"inserts": [edge_spec("n1", "n4"), edge_spec("n1", "n5")]},
+            {"deletes": [edge_spec("n1", "n4")]},
+        ]
+        receipts = await asyncio.gather(
+            *(service.submit_nowait("g", payload) for payload in payloads)
+        )
+        assert [receipt.accepted for receipt in receipts] == [2, 2, 1]
+        assert [receipt.cut for receipt in receipts] == ["capacity", "capacity", None]
+        await service.drain()
+
+        stats = service.stats("g")
+        assert stats["quarantined"] == 1  # the poison only
+        dead = DeadLetterJournal(
+            tmp_path / f"{journal_slug('g')}.deadletter.jsonl"
+        ).load()
+        assert [record["kind"] for record in dead] == ["poison"]
+        snapshot = service.snapshot("g")
+        assert not snapshot.data.has_edge("n0", "n2")
+        assert not snapshot.data.has_edge("n1", "n4")
+        expected = make_data()
+        expected.add_edge("n0", "n3")
+        expected.add_edge("n1", "n5")
+        assert snapshot.data == expected
+        assert service._session("g").staged == snapshot.data
+
+        duplicate = await service.submit("g", {"inserts": [edge_spec("n1", "n5")]})
+        assert duplicate.accepted == 0 and duplicate.rejected == 1
+        await service.drain()
+        assert service.stats("g")["quarantined"] == 1
+        await service.close()
+
+    run(scenario())
+
+
+def test_a_cut_batch_emptied_by_restaging_still_checkpoints(tmp_path):
+    # Every delta of the waiting cut depends on the quarantined node, so
+    # restaging empties it.  The empty batch keeps its seq high mark:
+    # nothing settles (no new version), but the checkpoint advances.
+    async def scenario():
+        def is_poison(update):
+            return isinstance(update, NodeInsertion) and update.node == "x"
+
+        factory = flaky_algorithm_factory(
+            default_algorithm_factory, poison=is_poison, message="poison kernel bug"
+        )
+        service = StreamingUpdateService(
+            ServiceConfig(
+                journal_dir=str(tmp_path),
+                settle_retries=0,
+                deadline_seconds=30.0,
+                max_buffer=2,
+                coalesce_min_batch=10_000,
+            ),
+            algorithm_factory=factory,
+        )
+        await service.register("g", make_data())
+        payloads = [
+            {"inserts": [{"type": "node", "node": "x", "labels": ["A"]}, edge_spec("n0", "n3")]},
+            {"inserts": [edge_spec("x", "n1"), edge_spec("n1", "x")]},
+        ]
+        receipts = await asyncio.gather(
+            *(service.submit_nowait("g", payload) for payload in payloads)
+        )
+        assert [receipt.cut for receipt in receipts] == ["capacity", "capacity"]
+        await service.drain()
+
+        stats = service.stats("g")
+        assert stats["quarantined"] == 3  # the poison + both dependents
+        assert stats["settles"] == 1  # the innocent half of the first cut
+        assert stats["snapshot"]["version"] == 1
+        assert stats["journal"]["checkpoint_seq"] == stats["journal"]["last_seq"]
+        expected = make_data()
+        expected.add_edge("n0", "n3")
+        assert service.snapshot("g").data == expected
         await service.close()
 
     run(scenario())
@@ -781,5 +894,63 @@ def test_failed_group_append_stops_the_journal(tmp_path, monkeypatch):
 
         kept, _stats = await recovered_group_prefix(tmp_path, [first], group)
         assert kept == len(group)  # written and flushed; only the fsync failed
+
+    run(scenario())
+
+
+def test_failed_group_append_rolls_back_the_groups_deltas(tmp_path, monkeypatch):
+    # The group's deltas were staged, cut and buffered before its append
+    # failed.  No receipt covers them and no restart would recover them,
+    # so a later drain must not settle them; the receipted payload
+    # buffered before the group still settles.
+    failing = {"armed": False}
+    real_fsync = os.fsync
+
+    def fsync(fd):
+        if failing["armed"]:
+            failing["armed"] = False
+            raise OSError("disk full")
+        real_fsync(fd)
+
+    monkeypatch.setattr(os, "fsync", fsync)
+    first = {"inserts": [edge_spec("n0", "n2")]}
+    group = [
+        {"inserts": [edge_spec("n0", "n3")]},
+        {"inserts": [edge_spec("n1", "n4"), edge_spec("n2", "n5")]},
+    ]
+
+    async def scenario():
+        config = ServiceConfig(
+            journal_dir=str(tmp_path),
+            deadline_seconds=30.0,
+            max_buffer=2,
+            coalesce_min_batch=10_000,
+        )
+        service = StreamingUpdateService(config)
+        await service.register("g", make_data())
+        await service.subscribe("g", "default", make_pattern())
+        receipt = await service.submit("g", first)
+        assert receipt.accepted == 1 and receipt.cut is None
+        failing["armed"] = True
+        outcomes = await asyncio.gather(
+            *(service.submit_nowait("g", payload) for payload in group), return_exceptions=True
+        )
+        assert [type(outcome) for outcome in outcomes] == [OSError, OSError]
+        await service.drain()
+
+        snapshot = service.snapshot("g")
+        expected = make_data()
+        expected.add_edge("n0", "n2")
+        assert snapshot.data == expected
+        for source, target in (("n0", "n3"), ("n1", "n4"), ("n2", "n5")):
+            assert not snapshot.data.has_edge(source, target)
+        assert service._session("g").staged == snapshot.data
+        assert service.stats("g")["quarantined"] == 0
+        # A later payload that stays buffered is rolled back the same way.
+        with pytest.raises(JournalError):
+            await service.submit("g", {"inserts": [edge_spec("n3", "n6")]})
+        assert service.backlog("g") == 0
+        assert service._session("g").staged == snapshot.data
+        await service.abort()
 
     run(scenario())

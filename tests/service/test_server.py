@@ -212,8 +212,8 @@ def test_server_counts_deltas_in_merged_cut_batches_as_backlog():
         release_settle = threading.Event()
         loop = asyncio.get_running_loop()
 
-        def gated_factory(pattern, data, config, telemetry):
-            algorithm = default_algorithm_factory(pattern, data, config, telemetry)
+        def gated_factory(pattern, data, config):
+            algorithm = default_algorithm_factory(pattern, data, config)
             inner = algorithm.subsequent_query
 
             def gated(batch):

@@ -6,6 +6,7 @@ import time
 
 import pytest
 
+from repro.algorithms import UAGPNM
 from repro.batching.coalesce import DEFAULT_COALESCE_MIN_BATCH
 from repro.batching.planner import (
     DEFAULT_COST_MODEL,
@@ -254,8 +255,8 @@ def test_reads_answer_from_last_snapshot_while_settle_is_in_flight():
         release_settle = threading.Event()
         loop = asyncio.get_running_loop()
 
-        def slow_factory(pattern, data, config, telemetry):
-            algorithm = default_algorithm_factory(pattern, data, config, telemetry)
+        def slow_factory(pattern, data, config):
+            algorithm = default_algorithm_factory(pattern, data, config)
             inner = algorithm.subsequent_query
 
             def slow(batch):
@@ -431,45 +432,30 @@ def test_graphs_are_independent():
     run(scenario())
 
 
-def test_telemetry_is_saved_on_close(tmp_path):
-    async def scenario():
-        path = tmp_path / "service_telemetry.json"
-        service = StreamingUpdateService(
-            ServiceConfig(
-                deadline_seconds=0.0,
-                max_buffer=10_000,
-                coalesce_min_batch=10_000,
-                telemetry_path=str(path),
-            )
-        )
-        await service.register_graph("g", make_pattern(), make_data())
-        await service.submit("g", {"inserts": [edge_spec("n0", "n2")]})
-        await service.close()
-        assert path.exists()
-
-        from repro.batching.telemetry import TelemetryLog
-
-        assert len(TelemetryLog.load(path)) >= 1
-
-    run(scenario())
-
-
 # ----------------------------------------------------------------------
 # Admission fast path: small buffers skip the planner, same decisions
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("eager_model", [False, True], ids=["shipped-model", "zero-overhead-model"])
 @pytest.mark.parametrize("min_batch", [DEFAULT_COALESCE_MIN_BATCH, 0, 1, 5])
 def test_admission_cuts_exactly_when_the_planner_leaves_per_update(
-    tmp_path, monkeypatch, min_batch, eager_model
+    monkeypatch, min_batch, eager_model
 ):
     # The zero-overhead model prices coalescing below per-update for any
     # batch rule 1 lets through, so it pins the fast path's boundary.
-    model_path = None
+    model = None
     if eager_model:
-        model_path = tmp_path / "eager_model.json"
-        dataclasses.replace(
+        model = dataclasses.replace(
             DEFAULT_COST_MODEL, coalesce_fixed_overhead=0.0, partition_fixed_overhead=0.0
-        ).save_json(model_path)
+        )
+
+    def factory(pattern, data, config):
+        return UAGPNM(
+            pattern,
+            data,
+            use_partition=config.use_partition,
+            coalesce_min_batch=config.coalesce_min_batch,
+            cost_model=model,
+        )
 
     async def scenario():
         data = make_braided_ring(40)
@@ -482,8 +468,8 @@ def test_admission_cuts_exactly_when_the_planner_leaves_per_update(
                 deadline_seconds=30.0,
                 max_buffer=10_000,
                 coalesce_min_batch=min_batch,
-                cost_model_path=str(model_path) if model_path else None,
-            )
+            ),
+            algorithm_factory=factory,
         )
         await service.register("g", data)
         # Observe the decision only: no settle, no deadline timer.
@@ -540,8 +526,8 @@ def deletion_payloads(data: DataGraph, groups: int) -> list[dict]:
 def recording_factory(sizes: list[int]):
     """The stock factory, recording the size of every settled batch."""
 
-    def factory(pattern, data, config, telemetry):
-        algorithm = default_algorithm_factory(pattern, data, config, telemetry)
+    def factory(pattern, data, config):
+        algorithm = default_algorithm_factory(pattern, data, config)
         inner = algorithm.subsequent_query
 
         def recorded(batch):
@@ -729,8 +715,8 @@ def test_pipelined_burst_backlog_counts_every_waiting_payload():
         release_settle = threading.Event()
         loop = asyncio.get_running_loop()
 
-        def gated_factory(pattern, data, config, telemetry):
-            algorithm = default_algorithm_factory(pattern, data, config, telemetry)
+        def gated_factory(pattern, data, config):
+            algorithm = default_algorithm_factory(pattern, data, config)
             inner = algorithm.subsequent_query
 
             def gated(batch):

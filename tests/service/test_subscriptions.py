@@ -269,8 +269,8 @@ def test_unsubscribe_mid_settle_is_serialized():
         release = asyncio.Event()
         loop = asyncio.get_running_loop()
 
-        def slow_factory(pattern, data, config, telemetry):
-            algorithm = default_algorithm_factory(pattern, data, config, telemetry)
+        def slow_factory(pattern, data, config):
+            algorithm = default_algorithm_factory(pattern, data, config)
             inner = algorithm.subsequent_query
 
             def slow(batch):

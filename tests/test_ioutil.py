@@ -33,6 +33,22 @@ def test_atomic_write_text_failure_leaves_target_untouched(tmp_path, monkeypatch
     assert [p.name for p in tmp_path.iterdir()] == ["artifact.json"]
 
 
+def test_atomic_write_text_cleans_up_on_write_failure(tmp_path, monkeypatch):
+    target = tmp_path / "artifact.json"
+    target.write_text("original")
+
+    def broken_fsync(fd):
+        raise OSError("io error")
+
+    monkeypatch.setattr(os, "fsync", broken_fsync)
+    with pytest.raises(OSError, match="io error"):
+        atomic_write_text(target, "replacement")
+    monkeypatch.undo()
+
+    assert target.read_text() == "original"
+    assert os.listdir(tmp_path) == [target.name]
+
+
 def test_append_line_durable_appends_and_terminates_lines(tmp_path):
     target = tmp_path / "log.jsonl"
     append_line_durable(target, "one")
