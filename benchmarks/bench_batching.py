@@ -47,7 +47,6 @@ from pathlib import Path
 from repro.batching.coalesce import coalesce_slen
 from repro.batching.compiler import compile_batch
 from repro.batching.planner import BatchStatistics, plan_batch
-from repro.partition.label_partition import LabelPartition
 from repro.partition.partitioned_spl import coalesce_slen_partitioned
 from repro.spl.incremental import update_slen
 from repro.spl.matrix import SLenMatrix
@@ -95,16 +94,10 @@ def workload(data, pattern, batch_size: int, mix: str):
     ).data_updates()
 
 
-def _run_strategy(strategy: str, graph, matrix, updates, partition=None) -> None:
-    """Execute one maintenance strategy in place.
-
-    ``partition`` is the pre-batch :class:`LabelPartition` (built
-    outside the timed window), mirroring the warm cross-batch cache the
-    algorithms keep: the partitioned route pays only the O(|batch|)
-    deletion bookkeeping in-band, exactly like
-    ``GPNMAlgorithm._settle_partition`` — so this benchmark and the
-    algorithms' ``maintenance_seconds`` time the same work.
-    """
+def _run_strategy(strategy: str, graph, matrix, updates) -> None:
+    """Execute one maintenance strategy in place, the way the algorithms'
+    timed maintenance does (the partitioned route builds its partition
+    inside the settle, so its cost is part of the timing)."""
     if strategy == "per-update":
         for update in updates:
             update.apply(graph)
@@ -112,16 +105,12 @@ def _run_strategy(strategy: str, graph, matrix, updates, partition=None) -> None
         return
     compiled = compile_batch(updates)
     surviving = compiled.data_updates()
-    if strategy == "partitioned" and partition is not None:
-        for update in surviving:
-            if update.is_deletion:
-                partition.apply_update(update)
     for update in surviving:
         update.apply(graph)
     if strategy == "coalesced":
         coalesce_slen(matrix, graph, surviving)
     else:
-        coalesce_slen_partitioned(matrix, graph, surviving, partition=partition)
+        coalesce_slen_partitioned(matrix, graph, surviving)
 
 
 def time_strategy(data, updates, strategy: str) -> tuple[float, str]:
@@ -134,19 +123,11 @@ def time_strategy(data, updates, strategy: str) -> tuple[float, str]:
         backend=matrix.backend_name,
         partition_available=True,
     )
-    # The warm-cache analog: the pre-batch partition exists before the
-    # batch arrives, so its construction is not part of the strategy
-    # cost.  Only routes that can execute partitioned need it.
-    partition = (
-        LabelPartition.from_graph(graph)
-        if strategy in ("partitioned", "auto")
-        else None
-    )
     started = time.perf_counter()
     executed = strategy
     if strategy == "auto":
         executed = plan_batch(stats).strategy
-    _run_strategy(executed, graph, matrix, updates, partition=partition)
+    _run_strategy(executed, graph, matrix, updates)
     elapsed = time.perf_counter() - started
     assert matrix == SLenMatrix.from_graph(graph, horizon=HORIZON)
     return elapsed, executed

@@ -35,7 +35,8 @@ are then maintained by **one coalesced ``SLen`` pass**
 affected-region recompute per source (or per target — the transposed
 sweep) and all insertions are applied in one multi-source relaxation
 sweep.  With ``batch_plan="partitioned"`` the deletion settle routes
-row-heavy sources through the label partition
+row-heavy sources through a label partition of the deletions-only
+graph, built for that settle
 (:func:`repro.partition.coalesce_slen_partitioned`).
 ``batch_plan="auto"`` — the **default** — has the execution planner
 (:func:`repro.batching.plan_batch`) pick the cheapest strategy per
@@ -58,14 +59,6 @@ Auto-planned batches below the ``coalesce_min_batch`` crossover
 (default 64, from the benchmark) stay on per-update maintenance — one
 planner rule among several; ``ua-gpnm --help`` documents the full
 strategy-selection policy.
-
-Partition cache
----------------
-UA-GPNM caches its :class:`~repro.partition.LabelPartition` across
-batches (invalidated on
-:attr:`DataGraph.version <repro.graph.digraph.DataGraph.version>`
-changes, maintained incrementally per update), so the partitioned
-route does not pay the partition's construction on every batch.
 
 Pluggable ``SLen`` storage backends
 -----------------------------------

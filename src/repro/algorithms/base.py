@@ -39,7 +39,6 @@ from repro.matching.bgs import bounded_simulation
 from repro.matching.candidates import CandidateSet, candidate_set
 from repro.matching.gpnm import MatchResult
 from repro.matching.shared import SharedDelta, shared_delta_from_batch
-from repro.partition.label_partition import LabelPartition
 from repro.partition.partitioned_spl import (
     build_slen_partitioned,
     coalesce_slen_partitioned,
@@ -222,11 +221,6 @@ class GPNMAlgorithm(abc.ABC):
         self._last_shared_delta: Optional[SharedDelta] = None
         self._last_affected_sets: tuple[AffectedSet, ...] = ()
         self._last_maintained_updates: tuple[Update, ...] = ()
-        #: Cross-batch LabelPartition cache for the partitioned route,
-        #: trusted only while ``_partition_version`` matches the data
-        #: graph's mutation counter.
-        self._partition_cache: Optional[LabelPartition] = None
-        self._partition_version: int = -1
         if precomputed_slen is not None:
             # The experiment harness shares one initial-query state across
             # the compared methods so that only the subsequent query is
@@ -238,36 +232,17 @@ class GPNMAlgorithm(abc.ABC):
                     slen_backend, dense_block_size=dense_block_size
                 )
         elif use_partition:
-            partition = LabelPartition.from_graph(self._data)
             self._slen = build_slen_partitioned(
                 self._data,
-                partition,
                 backend=slen_backend if slen_backend is not None else "sparse",
                 dense_block_size=dense_block_size,
             )
-            # The construction partition seeds the cross-batch cache.
-            self._partition_cache = partition
-            self._partition_version = self._data.version
         else:
             self._slen = SLenMatrix.from_graph(
                 self._data,
                 backend=slen_backend if slen_backend is not None else "sparse",
                 dense_block_size=dense_block_size,
             )
-        if (
-            use_partition
-            and self._partition_cache is None
-            and self._batch_plan in (STRATEGY_AUTO, STRATEGY_PARTITIONED)
-        ):
-            # Seed the cache on the precomputed-SLen path too (the
-            # experiment harness always takes it): building here keeps
-            # the O(V + E) partition construction out of the timed
-            # maintenance window, so partitioned-route maintenance_seconds
-            # are not inflated by setup the cache exists to amortise.  Plans
-            # that can never route partitioned skip the build (the
-            # lazy rebuild in _settle_partition covers stragglers).
-            self._partition_cache = LabelPartition.from_graph(self._data)
-            self._partition_version = self._data.version
         if precomputed_relation is not None:
             self._relation = MatchResult(precomputed_relation.as_dict(), enforce_totality=False)
         else:
@@ -317,25 +292,17 @@ class GPNMAlgorithm(abc.ABC):
         as the submitted batch."""
         return self._last_shared_delta
 
-    def fork_state(self) -> tuple[DataGraph, SLenMatrix, Optional[LabelPartition]]:
-        """A consistent ``(data, slen, partition)`` snapshot of internal state.
+    def fork_state(self) -> tuple[DataGraph, SLenMatrix]:
+        """A consistent ``(data, slen)`` snapshot of internal state.
 
-        The graph and (warm) partition are deep-copied — they are
-        O(|V| + |E|) — while the ``SLen`` matrix is **forked**
-        (copy-on-write on the blocked dense backend, so the O(|V|²)
-        payload is shared until a later batch writes a block).  This is
-        the cheap snapshot-publication primitive behind
-        :mod:`repro.versioning`; the returned triple never mutates, and
-        the algorithm stays fully usable.  The partition is ``None``
-        when partitioned maintenance is disabled or the cache is cold.
+        The graph is deep-copied — it is O(|V| + |E|) — while the
+        ``SLen`` matrix is **forked** (copy-on-write on the blocked dense
+        backend, so the O(|V|²) payload is shared until a later batch
+        writes a block).  This is the cheap snapshot-publication
+        primitive behind :mod:`repro.versioning`; the returned pair never
+        mutates, and the algorithm stays fully usable.
         """
-        partition: Optional[LabelPartition] = None
-        if (
-            self._partition_cache is not None
-            and self._partition_version == self._data.version
-        ):
-            partition = self._partition_cache.copy()
-        return self._data.copy(), self._slen.fork(), partition
+        return self._data.copy(), self._slen.fork()
 
     @property
     def uses_partition(self) -> bool:
@@ -421,19 +388,11 @@ class GPNMAlgorithm(abc.ABC):
     # Shared helpers
     # ------------------------------------------------------------------
     def _apply_data_update(self, update: Update, stats: QueryStats) -> AffectedSet:
-        """Apply a data update to the graph and maintain ``SLen``.
-
-        Partition-cache mirroring happens *outside* the timed window:
-        the benchmark's per-update branch does no partition bookkeeping,
-        and ``maintenance_seconds`` must time the same work it does.
-        """
-        tracking = self._partition_tracking()
+        """Apply a data update to the graph and maintain ``SLen``."""
         started = time.perf_counter()
         update.apply(self._data)
         delta = update_slen(self._slen, self._data, update)
         stats.maintenance_seconds += time.perf_counter() - started
-        if tracking:
-            self._track_partition(update)
         stats.slen_updates += 1
         stats.recomputed_rows += len(delta.recomputed_sources)
         return affected_set_from_delta(update, delta)
@@ -491,21 +450,12 @@ class GPNMAlgorithm(abc.ABC):
         """
         if not data_updates:
             return []
-        # The partitioned route's deletion bookkeeping (_settle_partition)
-        # is timed — the benchmark's partitioned branch pays the same cost
-        # — but cache *upkeep* (committing insertions, mirroring updates
-        # on non-partitioned routes) is not: the benchmark does neither,
-        # and maintenance_seconds must time the same work it does.
-        tracking = not partitioned and self._partition_tracking()
         started = time.perf_counter()
-        partition = self._settle_partition(data_updates) if partitioned else None
         try:
             for update in data_updates:
                 update.apply(self._data)
             if partitioned:
-                outcome = coalesce_slen_partitioned(
-                    self._slen, self._data, data_updates, partition=partition
-                )
+                outcome = coalesce_slen_partitioned(self._slen, self._data, data_updates)
             else:
                 outcome = coalesce_slen(self._slen, self._data, data_updates)
         except Exception:
@@ -513,7 +463,6 @@ class GPNMAlgorithm(abc.ABC):
             # of the batch, so resync the matrix to whatever state it
             # reached before re-raising.  A caller that catches the error
             # is left with a consistent (graph, SLen) pair.
-            self._invalidate_partition_cache()
             self._slen = SLenMatrix.from_graph(
                 self._data,
                 horizon=self._slen.horizon,
@@ -522,11 +471,6 @@ class GPNMAlgorithm(abc.ABC):
             )
             raise
         stats.maintenance_seconds += time.perf_counter() - started
-        if partition is not None:
-            self._commit_partition_cache(data_updates)
-        elif tracking:
-            for update in data_updates:
-                self._track_partition(update)
         stats.slen_updates += 1
         stats.coalesced_batches += 1
         stats.recomputed_rows += len(outcome.delta.recomputed_sources)
@@ -534,84 +478,6 @@ class GPNMAlgorithm(abc.ABC):
             affected_set_from_delta(update, delta)
             for update, delta in zip(data_updates, outcome.per_update)
         ]
-
-    # ------------------------------------------------------------------
-    # Cross-batch LabelPartition cache (the partitioned route's O(V + E)
-    # per-batch partition rebuild becomes O(|batch|) bookkeeping)
-    # ------------------------------------------------------------------
-    def _settle_partition(self, data_updates: Sequence[Update]) -> Optional[LabelPartition]:
-        """The deletions-only :class:`LabelPartition` the partitioned
-        settle needs, served from (and maintained into) the cache.
-
-        The cache is trusted only while ``_partition_version`` matches
-        :attr:`DataGraph.version`; any out-of-band mutation forces a
-        rebuild.  The batch's deletions are applied to the cached
-        partition *before* the graph changes, yielding exactly the
-        partition of the deletions-only graph.  The cache is a pure
-        optimisation: on any failure it is dropped and ``None`` is
-        returned, making the settle derive its own partition.
-        """
-        if not self._use_partition:
-            return None
-        try:
-            if (
-                self._partition_cache is None
-                or self._partition_version != self._data.version
-            ):
-                self._partition_cache = LabelPartition.from_graph(self._data)
-                self._partition_version = self._data.version
-            for update in data_updates:
-                if update.is_deletion:
-                    self._partition_cache.apply_update(update)
-            return self._partition_cache
-        except Exception:
-            self._invalidate_partition_cache()
-            return None
-
-    def _commit_partition_cache(self, data_updates: Sequence[Update]) -> None:
-        """Roll the cached partition forward over the batch's insertions
-        so it matches the post-batch graph (deletions were applied by
-        :meth:`_settle_partition`)."""
-        if self._partition_cache is None:
-            return
-        try:
-            for update in data_updates:
-                if update.is_insertion:
-                    self._partition_cache.apply_update(update)
-        except Exception:
-            self._invalidate_partition_cache()
-            return
-        self._partition_version = self._data.version
-
-    def _invalidate_partition_cache(self) -> None:
-        """Drop the cached partition (next partitioned batch rebuilds)."""
-        self._partition_cache = None
-        self._partition_version = -1
-
-    def _partition_tracking(self) -> bool:
-        """Whether the cache is warm enough to mirror graph mutations
-        (it must match the graph *before* the mutation being applied).
-        Plans that can never route partitioned don't track — the cache
-        would be maintained forever without a consumer."""
-        return (
-            self._batch_plan in (STRATEGY_AUTO, STRATEGY_PARTITIONED)
-            and self._partition_cache is not None
-            and self._partition_version == self._data.version
-        )
-
-    def _track_partition(self, update: Update) -> None:
-        """Mirror one just-applied data update on the warm cache, so
-        per-update and plain-coalesced routes keep it from going cold
-        between partitioned batches.  O(1)-ish per edit; any failure
-        just drops the cache (pure optimisation)."""
-        if self._partition_cache is None:
-            return
-        try:
-            self._partition_cache.apply_update(update)
-        except Exception:
-            self._invalidate_partition_cache()
-            return
-        self._partition_version = self._data.version
 
     def _apply_pattern_update(self, update: Update, stats: QueryStats) -> CandidateSet:
         """Compute the candidate set of a pattern update, then apply it."""

@@ -18,13 +18,11 @@ UA-GPNM processes a subsequent query in three steps:
 experiments: identical elimination machinery, but plain per-source BFS
 whenever ``SLen`` rows must be recomputed.
 
-With ``use_partition`` on, the label partition is **cached across
-batches** (seeded by the initial build, maintained incrementally per
-update, and invalidated whenever ``DataGraph.version`` moved without
-the cache seeing the change), so the partitioned-coalesced maintenance
-route pays O(|batch|) partition bookkeeping instead of an O(V + E)
-rebuild per batch — see
-:meth:`~repro.algorithms.base.GPNMAlgorithm._settle_partition`.
+With ``use_partition`` on, the partitioned-coalesced maintenance route
+builds the label partition of the deletions-only graph inside each
+row-heavy deletion settle
+(:func:`~repro.partition.partitioned_spl.coalesce_slen_partitioned`);
+no partition is kept between batches.
 """
 
 from __future__ import annotations

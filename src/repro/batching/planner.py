@@ -36,7 +36,7 @@ Auto routing rules, in order:
 2. batches without deletions run per-update (coalescing insertions is a
    structural non-win);
 3. insert-dominated batches (insert fraction at or above
-   :data:`INSERT_ROUTE_THRESHOLD`) run per-update;
+   :attr:`CostModel.insert_route_threshold`) run per-update;
 4. otherwise the strategy with the lowest estimated cost wins;
    partitioned-coalesced is only a candidate when a label partition is
    available.
@@ -200,20 +200,6 @@ class CostModel:
 #: The shipped calibration — what ``plan_batch`` uses when no explicit
 #: model is handed in.
 DEFAULT_COST_MODEL: CostModel = CostModel()
-
-# Backwards-compatible aliases for the pre-CostModel module constants.
-# Read-only snapshots of the shipped calibration: estimate_costs /
-# plan_batch consult the CostModel they are given, never these globals,
-# so reassigning them no longer changes routing — construct and pass a
-# CostModel instead.
-COALESCE_FIXED_OVERHEAD: float = DEFAULT_COST_MODEL.coalesce_fixed_overhead
-COALESCED_INSERT_FACTOR: float = DEFAULT_COST_MODEL.coalesced_insert_factor
-COALESCED_DELETE_FACTOR: float = DEFAULT_COST_MODEL.coalesced_delete_factor
-DENSE_COALESCED_DISCOUNT: float = DEFAULT_COST_MODEL.dense_coalesced_discount
-PARTITIONED_DELETE_FACTOR: float = DEFAULT_COST_MODEL.partitioned_delete_factor
-PARTITION_OVERHEAD_PER_NODE: float = DEFAULT_COST_MODEL.partition_overhead_per_node
-PARTITION_FIXED_OVERHEAD: float = DEFAULT_COST_MODEL.partition_fixed_overhead
-INSERT_ROUTE_THRESHOLD: float = DEFAULT_COST_MODEL.insert_route_threshold
 
 
 @dataclass(frozen=True)

@@ -16,24 +16,20 @@ an edge ``Pi -> Pj`` when a cross edge goes from ``Pi`` to ``Pj``), which
 the exact partitioned shortest-path builder condenses into strongly
 connected components.
 
-The partition is **incrementally maintainable**: :meth:`LabelPartition.
-apply_update` mirrors one data update (node/edge insertion/deletion) on
-the partition in time proportional to the touched partitions instead of
-the O(V + E) of a full :meth:`~LabelPartition.from_graph` rebuild.  That
-is what lets UA-GPNM cache one partition across update batches
-(invalidated on :attr:`repro.graph.digraph.DataGraph.version` changes)
-so the partitioned-coalesced maintenance route stops paying a full
-partition rebuild per batch.
+A :class:`LabelPartition` is an immutable description of one graph.
+Nothing keeps it in step with later updates: whoever needs the
+partition of a changed graph builds a new one with
+:meth:`LabelPartition.from_graph` (the partitioned deletion settle builds
+one from the deletions-only graph each time it takes the recompute route).
 """
 
 from __future__ import annotations
 
-from collections.abc import Hashable, Iterable, Iterator
+from collections.abc import Hashable, Iterator
 from dataclasses import dataclass, field
 
 from repro.graph.digraph import DataGraph
-from repro.graph.errors import MissingNodeError, UpdateError
-from repro.graph.updates import GraphKind, Update, UpdateKind
+from repro.graph.errors import MissingNodeError
 
 NodeId = Hashable
 
@@ -91,51 +87,14 @@ class LabelPartition:
     'SE'
     """
 
-    # The authoritative state lives in mutable per-label sets so the
-    # incremental mutators cost O(1) per edge edit (node removal is
-    # O(degree), through the incident-edge indexes); the frozen
-    # Partition objects the lookup API hands out are lazily built
-    # views, cached per label and invalidated by any mutation of that
-    # label.
-    __slots__ = (
-        "_nodes",
-        "_intra",
-        "_cross",
-        "_node_to_label",
-        "_cross_by_target",
-        "_cross_by_source",
-        "_intra_by_node",
-        "_views",
-    )
+    __slots__ = ("_partitions", "_node_to_label")
 
     def __init__(self, partitions: dict[str, Partition]) -> None:
-        self._nodes: dict[str, set[NodeId]] = {}
-        self._intra: dict[str, set[tuple[NodeId, NodeId]]] = {}
-        self._cross: dict[str, set[tuple[NodeId, NodeId]]] = {}
-        self._views: dict[str, Partition] = {}
+        self._partitions = dict(partitions)
         self._node_to_label: dict[NodeId, str] = {}
-        #: Reverse index of cross edges by *target* node, so removing a
-        #: node can drop its incoming cross edges without scanning every
-        #: partition (the edges themselves live in the source partition).
-        self._cross_by_target: dict[NodeId, set[tuple[NodeId, NodeId]]] = {}
-        #: ...and by *source* node, so removing a node can drop its
-        #: outgoing cross edges without scanning its partition's set.
-        self._cross_by_source: dict[NodeId, set[tuple[NodeId, NodeId]]] = {}
-        #: Intra edges indexed by incident node (either endpoint), so
-        #: removing a node costs O(degree), not O(partition edges).
-        self._intra_by_node: dict[NodeId, set[tuple[NodeId, NodeId]]] = {}
-        for label, partition in partitions.items():
-            self._nodes[label] = set(partition.nodes)
-            self._intra[label] = set(partition.intra_edges)
-            self._cross[label] = set(partition.cross_edges)
+        for label, partition in self._partitions.items():
             for node in partition.nodes:
                 self._node_to_label[node] = label
-            for edge in partition.cross_edges:
-                self._cross_by_target.setdefault(edge[1], set()).add(edge)
-                self._cross_by_source.setdefault(edge[0], set()).add(edge)
-            for edge in partition.intra_edges:
-                self._intra_by_node.setdefault(edge[0], set()).add(edge)
-                self._intra_by_node.setdefault(edge[1], set()).add(edge)
 
     @classmethod
     def from_graph(cls, graph: DataGraph) -> "LabelPartition":
@@ -168,32 +127,23 @@ class LabelPartition:
     # ------------------------------------------------------------------
     def labels(self) -> frozenset[str]:
         """All partition labels."""
-        return frozenset(self._nodes)
+        return frozenset(self._partitions)
 
     def partitions(self) -> Iterator[Partition]:
         """Iterate over the partitions."""
-        return iter([self.partition(label) for label in self._nodes])
+        return iter(self._partitions.values())
 
     def partition(self, label: str) -> Partition:
-        """Return the (immutable view of the) partition of ``label``."""
-        view = self._views.get(label)
-        if view is not None:
-            return view
-        if label not in self._nodes:
-            raise KeyError(f"no partition for label {label!r}")
-        view = Partition(
-            label=label,
-            nodes=frozenset(self._nodes[label]),
-            intra_edges=frozenset(self._intra[label]),
-            cross_edges=frozenset(self._cross[label]),
-        )
-        self._views[label] = view
-        return view
+        """Return the partition of ``label``."""
+        try:
+            return self._partitions[label]
+        except KeyError:
+            raise KeyError(f"no partition for label {label!r}") from None
 
     def partition_of(self, node: NodeId) -> Partition:
         """Return the partition the node belongs to."""
         try:
-            return self.partition(self._node_to_label[node])
+            return self._partitions[self._node_to_label[node]]
         except KeyError:
             raise MissingNodeError(node) from None
 
@@ -215,177 +165,7 @@ class LabelPartition:
     @property
     def number_of_partitions(self) -> int:
         """How many label partitions exist."""
-        return len(self._nodes)
-
-    # ------------------------------------------------------------------
-    # Incremental maintenance (O(1) per edge edit, O(degree) per node
-    # removal: the mutators touch the mutable sets and indexes and drop
-    # the affected labels' cached views)
-    # ------------------------------------------------------------------
-    def add_node(self, node: NodeId, label: str) -> None:
-        """Add an isolated node to the partition of ``label`` (creating it)."""
-        if node in self._node_to_label:
-            raise UpdateError(f"node {node!r} is already partitioned")
-        if label not in self._nodes:
-            self._nodes[label] = set()
-            self._intra[label] = set()
-            self._cross[label] = set()
-        self._nodes[label].add(node)
-        self._node_to_label[node] = label
-        self._views.pop(label, None)
-
-    def remove_node(self, node: NodeId) -> None:
-        """Remove ``node`` and every edge incident to it."""
-        try:
-            label = self._node_to_label.pop(node)
-        except KeyError:
-            raise MissingNodeError(node) from None
-        self._nodes[label].discard(node)
-        for edge in self._intra_by_node.pop(node, set()):
-            self._intra[label].discard(edge)
-            other = edge[1] if edge[0] == node else edge[0]
-            bucket = self._intra_by_node.get(other)
-            if bucket is not None:
-                bucket.discard(edge)
-                if not bucket:
-                    del self._intra_by_node[other]
-        for edge in self._cross_by_source.pop(node, set()):
-            self._cross[label].discard(edge)
-            bucket = self._cross_by_target.get(edge[1])
-            if bucket is not None:
-                bucket.discard(edge)
-                if not bucket:
-                    del self._cross_by_target[edge[1]]
-        # Incoming cross edges live in their source node's partition.
-        for edge in self._cross_by_target.pop(node, set()):
-            source_label = self._node_to_label[edge[0]]
-            self._cross[source_label].discard(edge)
-            bucket = self._cross_by_source.get(edge[0])
-            if bucket is not None:
-                bucket.discard(edge)
-                if not bucket:
-                    del self._cross_by_source[edge[0]]
-            self._views.pop(source_label, None)
-        if self._nodes[label]:
-            self._views.pop(label, None)
-        else:
-            # from_graph never materialises empty partitions; match it.
-            del self._nodes[label]
-            del self._intra[label]
-            del self._cross[label]
-            self._views.pop(label, None)
-
-    def add_edge(self, source: NodeId, target: NodeId) -> None:
-        """Add the directed edge ``source -> target`` (both nodes known)."""
-        for endpoint in (source, target):
-            if endpoint not in self._node_to_label:
-                raise MissingNodeError(endpoint)
-        source_label = self._node_to_label[source]
-        edge = (source, target)
-        if source_label == self._node_to_label[target]:
-            self._intra[source_label].add(edge)
-            self._intra_by_node.setdefault(source, set()).add(edge)
-            self._intra_by_node.setdefault(target, set()).add(edge)
-        else:
-            self._cross[source_label].add(edge)
-            self._cross_by_target.setdefault(target, set()).add(edge)
-            self._cross_by_source.setdefault(source, set()).add(edge)
-        self._views.pop(source_label, None)
-
-    def remove_edge(self, source: NodeId, target: NodeId) -> None:
-        """Remove the directed edge ``source -> target`` (absent is a no-op)."""
-        if source not in self._node_to_label:
-            raise MissingNodeError(source)
-        source_label = self._node_to_label[source]
-        edge = (source, target)
-        if edge in self._intra[source_label]:
-            self._intra[source_label].discard(edge)
-            for endpoint in (source, target):
-                bucket = self._intra_by_node.get(endpoint)
-                if bucket is not None:
-                    bucket.discard(edge)
-                    if not bucket:
-                        del self._intra_by_node[endpoint]
-        elif edge in self._cross[source_label]:
-            self._cross[source_label].discard(edge)
-            bucket = self._cross_by_target.get(target)
-            if bucket is not None:
-                bucket.discard(edge)
-                if not bucket:
-                    del self._cross_by_target[target]
-            bucket = self._cross_by_source.get(source)
-            if bucket is not None:
-                bucket.discard(edge)
-                if not bucket:
-                    del self._cross_by_source[source]
-        else:
-            return
-        self._views.pop(source_label, None)
-
-    def apply_update(self, update: Update) -> None:
-        """Mirror one *data-graph* update on the partition.
-
-        Equivalent to rebuilding from the mutated graph, but in time
-        proportional to the touched partitions.  Updates must be applied
-        in an order that is valid for the graph itself (the compiler's
-        canonical order qualifies).
-        """
-        if update.graph is not GraphKind.DATA:
-            raise UpdateError(
-                f"the label partition only mirrors data-graph updates, got {update!r}"
-            )
-        kind = update.kind
-        if kind is UpdateKind.EDGE_INSERT:
-            self.add_edge(update.source, update.target)
-        elif kind is UpdateKind.EDGE_DELETE:
-            self.remove_edge(update.source, update.target)
-        elif kind is UpdateKind.NODE_INSERT:
-            if not update.labels:
-                raise UpdateError(f"{update!r} carries no label; cannot partition it")
-            self.add_node(update.node, update.labels[0])
-            for edge in update.edges:
-                self.add_edge(edge[0], edge[1])
-        elif kind is UpdateKind.NODE_DELETE:
-            self.remove_node(update.node)
-        else:  # pragma: no cover - exhaustive over UpdateKind
-            raise UpdateError(f"unsupported update kind {kind!r}")
-
-    def apply_updates(self, updates: Iterable[Update]) -> None:
-        """Apply every update of ``updates`` in order."""
-        for update in updates:
-            self.apply_update(update)
-
-    def copy(self) -> "LabelPartition":
-        """An independent copy."""
-        clone = LabelPartition({})
-        clone._nodes = {label: set(nodes) for label, nodes in self._nodes.items()}
-        clone._intra = {label: set(edges) for label, edges in self._intra.items()}
-        clone._cross = {label: set(edges) for label, edges in self._cross.items()}
-        clone._node_to_label = dict(self._node_to_label)
-        clone._cross_by_target = {
-            node: set(edges) for node, edges in self._cross_by_target.items()
-        }
-        clone._intra_by_node = {
-            node: set(edges) for node, edges in self._intra_by_node.items()
-        }
-        clone._cross_by_source = {
-            node: set(edges) for node, edges in self._cross_by_source.items()
-        }
-        return clone
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, LabelPartition):
-            return NotImplemented
-        return (
-            self._nodes == other._nodes
-            and self._intra == other._intra
-            and self._cross == other._cross
-        )
-
-    #: Deliberately unhashable: the partition is mutable with value
-    #: equality (like list/dict); hash a frozen ``partition(label)``
-    #: view instead if a key is needed.
-    __hash__ = None
+        return len(self._partitions)
 
     # ------------------------------------------------------------------
     # Quotient graph
@@ -393,17 +173,16 @@ class LabelPartition:
     def quotient_edges(self) -> frozenset[tuple[str, str]]:
         """Edges of the quotient graph (``Pi -> Pj`` when a cross edge exists)."""
         edges: set[tuple[str, str]] = set()
-        for label, cross in self._cross.items():
-            for _source, target in cross:
+        for label, partition in self._partitions.items():
+            for _source, target in partition.cross_edges:
                 edges.add((label, self._node_to_label[target]))
         return frozenset(edges)
 
     def quotient_successors(self, label: str) -> frozenset[str]:
         """Partitions directly reachable from ``label`` via a cross edge."""
-        if label not in self._cross:
-            raise KeyError(f"no partition for label {label!r}")
         return frozenset(
-            self._node_to_label[target] for _source, target in self._cross[label]
+            self._node_to_label[target]
+            for _source, target in self.partition(label).cross_edges
         )
 
     def reachable_labels(self, label: str) -> frozenset[str]:

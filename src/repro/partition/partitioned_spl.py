@@ -369,7 +369,6 @@ def coalesce_slen_partitioned(
     slen: SLenMatrix,
     graph_after: DataGraph,
     updates: Sequence[Update],
-    partition: Optional[LabelPartition] = None,
     recompute_fraction: float = PARTITIONED_RECOMPUTE_FRACTION,
 ) -> CoalescedMaintenance:
     """Coalesced ``SLen`` maintenance with a partition-aware deletion settle.
@@ -383,8 +382,8 @@ def coalesce_slen_partitioned(
     intra-component BFS plus composition through trusted bridge rows,
     against the deletions-only graph — which is the Section V advantage;
     below the threshold the backend settle is cheaper and is used
-    unchanged.  ``partition`` must describe the deletions-only graph when
-    given; it is derived from it when omitted.
+    unchanged.  The partition is built from the deletions-only graph
+    only when the settle takes the recompute route.
     """
 
     def settle(
@@ -399,7 +398,6 @@ def coalesce_slen_partitioned(
             affected_by_source,
             skip_edges,
             skip_nodes,
-            partition,
             recompute_fraction,
         )
 
@@ -412,7 +410,6 @@ def _partitioned_settle(
     affected_by_source: Mapping[NodeId, set[NodeId]],
     skip_edges,
     skip_nodes,
-    partition: Optional[LabelPartition],
     recompute_fraction: float,
 ) -> dict[NodeId, dict[NodeId, int]]:
     """Settle affected sources through the partition (or fall back)."""
@@ -430,13 +427,9 @@ def _partitioned_settle(
             graph_after, affected_by_source, skip_edges=skip_edges, skip_nodes=skip_nodes
         )
     graph_mid = _deletions_only_graph(graph_after, skip_edges, skip_nodes)
-    if partition is None:
-        partition = LabelPartition.from_graph(graph_mid)
     # All suspects are recomputed together so the composition never
     # trusts the stale row of a fellow suspect.
-    rows = partitioned_recompute_rows(
-        graph_mid, slen, affected_by_source.keys(), partition
-    )
+    rows = partitioned_recompute_rows(graph_mid, slen, affected_by_source.keys())
     results: dict[NodeId, dict[NodeId, int]] = {}
     for source, affected in affected_by_source.items():
         row = rows.get(source, {})

@@ -70,7 +70,6 @@ from repro.service.subscriptions import (
     SubscriptionDelta,
     SubscriptionState,
     parse_pattern_set,
-    reset_register_deprecation_warning,
 )
 
 __all__ = [
@@ -94,7 +93,6 @@ __all__ = [
     "SubscriptionDelta",
     "SubscriptionState",
     "parse_pattern_set",
-    "reset_register_deprecation_warning",
     "CUT_CROSSOVER",
     "CUT_CAPACITY",
     "CUT_DEADLINE",

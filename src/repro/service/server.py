@@ -24,8 +24,8 @@ beyond the standard library:
 
 Reads are *pattern-addressed*: ``matches`` and ``top-k`` accept an
 optional ``"pattern_id"`` naming one of the graph's standing patterns
-(omitted, they resolve the ``"default"`` pattern the single-pattern
-registration shim binds).
+(omitted, they resolve the standing pattern subscribed under
+``"default"``).
 
 ``subscribe`` attaches a standing pattern — and this connection — to
 the push channel; after every settle that changes the pattern's

@@ -19,7 +19,7 @@ continuously-available — and, with a journal directory configured,
   :class:`~repro.service.journal.GraphJournal` *before* its receipt is
   returned; the payloads of one ingest action share one write and one
   fsync (group commit).  Settles append a checkpoint record and trigger
-  size-bounded compaction.  :meth:`register_graph` recovers any journal
+  size-bounded compaction.  :meth:`register` recovers any journal
   found for the key: the compaction snapshot becomes the base graph and the
   uncheckpointed tail is replayed through the normal admission path, so
   a crash loses nothing a receipt was issued for.
@@ -59,9 +59,6 @@ continuously-available — and, with a journal directory configured,
   patterns, touched ones get one amendment pass.  Subscriptions are
   journaled (they ride compaction and recover on restart) and each
   settle pushes per-pattern match/top-k deltas to attached listeners.
-  The legacy one-pattern :meth:`register_graph` remains as a
-  deprecated shim over ``register`` + ``subscribe`` under the
-  ``"default"`` pattern id.
 * **Reads** — :meth:`~StreamingUpdateService.matches`,
   :meth:`~StreamingUpdateService.top_k` and
   :meth:`~StreamingUpdateService.slen_distance` answer from the last
@@ -133,9 +130,7 @@ from repro.service.subscriptions import (
     Subscription,
     SubscriptionEvent,
     SubscriptionState,
-    warn_register_graph_deprecated,
 )
-from repro.partition.label_partition import LabelPartition
 from repro.spl.matrix import SLenMatrix
 from repro.versioning import (
     DEFAULT_SNAPSHOT_HISTORY,
@@ -290,24 +285,20 @@ class GraphSnapshot:
     the red-green switch.  ``slen`` is a copy-on-write fork of the
     algorithm's matrix (see :meth:`repro.spl.matrix.SLenMatrix.fork`),
     so publishing a snapshot shares every unmodified block with the
-    live state instead of deep-copying the whole grid.  ``partition``
-    carries the label partition pinned with the same version (``None``
-    when partitioned maintenance is off or its cache was cold).
+    live state instead of deep-copying the whole grid.
 
     Snapshots are *pattern-aware*: ``subscriptions`` maps each standing
     pattern id to its frozen
     :class:`~repro.service.subscriptions.SubscriptionState` (pattern +
     match result + optional top-k), all sharing this one ``(data,
-    slen)`` pair.  The legacy single-pattern accessors ``result`` /
-    ``pattern`` resolve the ``"default"`` subscription the
-    :meth:`StreamingUpdateService.register_graph` shim binds.
+    slen)`` pair.  The pattern-unaddressed accessors ``result`` /
+    ``pattern`` resolve the ``"default"`` subscription.
     """
 
     version: int
     data: DataGraph
     slen: SLenMatrix
     subscriptions: Mapping[str, SubscriptionState] = field(default_factory=dict)
-    partition: Optional[LabelPartition] = None
 
     def state_for(self, pattern_id: Optional[str] = None) -> SubscriptionState:
         """The subscription state for ``pattern_id`` (``None`` = default)."""
@@ -609,25 +600,6 @@ class StreamingUpdateService:
             )
         return session.snapshot
 
-    async def register_graph(
-        self, key: str, pattern: PatternGraph, data: DataGraph
-    ) -> GraphSnapshot:
-        """Deprecated single-pattern registration (shim).
-
-        Equivalent to :meth:`register` followed by :meth:`subscribe`
-        under the ``"default"`` pattern id, which is what every
-        pattern-unaddressed read resolves; returns the snapshot with the
-        default subscription bound.  Journal recovery still works: if
-        the recovered journal already holds a ``"default"``
-        subscription with the same pattern, the re-subscribe is an
-        idempotent no-op.  Emits a :class:`DeprecationWarning` once per
-        process.
-        """
-        warn_register_graph_deprecated()
-        await self.register(key, data)
-        await self.subscribe(key, DEFAULT_PATTERN_ID, pattern, replace=True)
-        return self._session(key).snapshot
-
     @staticmethod
     def _initial_snapshot(
         algorithm: GPNMAlgorithm,
@@ -640,7 +612,7 @@ class StreamingUpdateService:
         the forked state — registration and quarantine rebuilds have no
         previous relation worth amending from.
         """
-        data, slen, partition = algorithm.fork_state()
+        data, slen = algorithm.fork_state()
         states: dict[str, SubscriptionState] = {}
         if subscriptions:
             for pattern_id, subscription in subscriptions.items():
@@ -651,7 +623,6 @@ class StreamingUpdateService:
             data=data,
             slen=slen,
             subscriptions=states,
-            partition=partition,
         )
 
     @property
@@ -704,8 +675,9 @@ class StreamingUpdateService:
                     f"graph {session.key!r} already has subscription {pattern_id!r}"
                 )
             if existing.to_doc() == subscription.to_doc():
-                # Idempotent re-subscribe (the register_graph shim after
-                # journal recovery): keep the live relation + listeners.
+                # Idempotent re-subscribe (a restart re-subscribing what
+                # journal recovery restored): keep the live relation +
+                # listeners.
                 return session.snapshot.state_for(pattern_id)
             for listener in existing.listeners:
                 subscription.attach(listener)
@@ -775,7 +747,7 @@ class StreamingUpdateService:
         """Replace the latest snapshot in place with new subscription states.
 
         Subscribe/unsubscribe change *which* patterns are bound, not
-        the graph: the data, SLen and partition are reused and the
+        the graph: the data and SLen are reused and the
         version is unchanged (the version store supports replacing the
         latest version, the same mechanism quarantine rebuilds use).
         """
@@ -785,7 +757,6 @@ class StreamingUpdateService:
             data=old.data,
             slen=old.slen,
             subscriptions=dict(states),
-            partition=old.partition,
         )
         session.versions.publish(snapshot)
         return snapshot
@@ -1441,8 +1412,7 @@ class StreamingUpdateService:
         shared_state = getattr(algorithm, "shared_state", None)
         if shared_state is not None:
             return shared_state()
-        data, slen, _ = algorithm.fork_state()
-        return data, slen
+        return algorithm.fork_state()
 
     def _notify(
         self,
@@ -1563,13 +1533,13 @@ class StreamingUpdateService:
 
         ``fork_state`` makes this cheap: the SLen matrix is shared
         block-by-block with the live state (copy-on-write), only the
-        O(|V| + |E|) graph and partition are copied.  Subscription
+        O(|V| + |E|) graph is copied.  Subscription
         states come from the settle's fan-out; a filter-skipped
         subscription republishes its previous state object unchanged
         (patterns are subscribed, never streamed, so a pattern cannot
         change mid-settle).
         """
-        data, slen, partition = session.algorithm.fork_state()
+        data, slen = session.algorithm.fork_state()
         return GraphSnapshot(
             version=session.snapshot.version + 1,
             data=data,
@@ -1577,7 +1547,6 @@ class StreamingUpdateService:
             subscriptions={
                 event.subscription.pattern_id: event.state for event in events
             },
-            partition=partition,
         )
 
     @staticmethod
@@ -1626,9 +1595,9 @@ class StreamingUpdateService:
     def pin(self, key: str, version: Optional[int] = None) -> SnapshotHandle:
         """Pin a retained version (``None`` = latest) for repeated reads.
 
-        The returned handle keeps its ``(graph, SLen, partition)``
-        triple alive across later settles and evictions until released
-        (use it as a context manager).  This is the red-green reader
+        The returned handle keeps its snapshot — the ``(graph, SLen)``
+        pair and the subscription states — alive across later settles
+        and evictions until released (use it as a context manager).  This is the red-green reader
         side: pinning is wait-free with respect to the writer.
         """
         return self._session(key).versions.pin(version)
@@ -1647,7 +1616,7 @@ class StreamingUpdateService:
         """Settled match sets: all of them, or one pattern node's.
 
         Addressed by ``(key, pattern_id)``; ``pattern_id=None`` resolves
-        the ``"default"`` subscription (the single-pattern shim's).
+        the ``"default"`` subscription.
         """
         state = self.snapshot(key, as_of=as_of).state_for(pattern_id)
         if pattern_node is None:

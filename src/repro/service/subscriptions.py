@@ -21,8 +21,6 @@ it into settles, snapshots, journaling and the TCP protocol.
 
 from __future__ import annotations
 
-import threading
-import warnings
 from collections.abc import Callable, Hashable, Mapping
 from dataclasses import dataclass
 from typing import Any, Optional
@@ -38,48 +36,13 @@ from repro.spl.matrix import SLenMatrix
 
 NodeId = Hashable
 
-#: Pattern id the single-pattern compatibility shim subscribes under.
+#: Pattern id that pattern-unaddressed reads resolve.
 DEFAULT_PATTERN_ID = "default"
 
 #: Signature of a push listener: called with one
 #: :class:`SubscriptionDelta` after each settle that changed the
 #: subscription's matches (or its top-k ranking).
 PushListener = Callable[["SubscriptionDelta"], None]
-
-# ----------------------------------------------------------------------
-# The single-pattern ``register_graph`` deprecation fires once per
-# process, not once per registration (test suites register hundreds of
-# graphs).  The flag is guarded by a lock: registrations can happen from
-# several event loops/threads, and an unsynchronized check-then-set can
-# emit the warning more than once.
-# ----------------------------------------------------------------------
-_register_deprecation_warned = False
-_register_deprecation_lock = threading.Lock()
-
-
-def warn_register_graph_deprecated(stacklevel: int = 3) -> None:
-    """Emit the single-pattern ``register_graph`` warning at most once."""
-    global _register_deprecation_warned
-    with _register_deprecation_lock:
-        if _register_deprecation_warned:
-            return
-        _register_deprecation_warned = True
-    warnings.warn(
-        "register_graph(key, pattern, data) is deprecated: register the "
-        "graph with register(key, data) and attach standing patterns "
-        "with subscribe(key, pattern_id, pattern); the shim binds the "
-        "pattern under pattern_id='default'",
-        DeprecationWarning,
-        stacklevel=stacklevel,
-    )
-
-
-def reset_register_deprecation_warning() -> None:
-    """Re-arm the once-per-process deprecation (test hook)."""
-    global _register_deprecation_warned
-    with _register_deprecation_lock:
-        _register_deprecation_warned = False
-
 
 def _ranking_doc(
     ranking: Mapping[NodeId, list[RankedMatch]],

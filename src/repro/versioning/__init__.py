@@ -10,8 +10,9 @@ swap, never an in-place mutation.
 Three pieces compose:
 
 * :class:`~repro.versioning.handle.SnapshotHandle` — a refcounted pin
-  on one published ``(graph, SLen, partition)`` triple.  The triple is
-  frozen; the handle frees its payload when the last pin releases.
+  on one published snapshot: a ``(graph, SLen)`` pair plus the
+  subscription states computed against it.  The snapshot is frozen;
+  the handle frees its payload when the last pin releases.
 * :class:`~repro.versioning.store.VersionStore` — the bounded ring of
   retained versions (``--snapshot-history N``).  Pinning an evicted or
   unpublished version raises

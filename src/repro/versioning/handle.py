@@ -79,11 +79,6 @@ class SnapshotHandle:
         """The pinned pattern graph."""
         return self.snapshot.pattern
 
-    @property
-    def partition(self) -> Any:
-        """The pinned label partition (``None`` when not maintained)."""
-        return getattr(self.snapshot, "partition", None)
-
     # ------------------------------------------------------------------
     # Refcounting
     # ------------------------------------------------------------------

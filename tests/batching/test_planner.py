@@ -14,7 +14,6 @@ import pytest
 from repro.algorithms.ua_gpnm import UAGPNM
 from repro.batching.planner import (
     DEFAULT_COST_MODEL,
-    INSERT_ROUTE_THRESHOLD,
     PLAN_CHOICES,
     STRATEGIES,
     BatchStatistics,
@@ -72,7 +71,7 @@ class TestAutoRouting:
         plan = plan_batch(stats(insertions=205, deletions=51))
         assert plan.strategy == "per-update"
         assert "insert-dominated" in plan.reason
-        assert plan.statistics.insert_fraction >= INSERT_ROUTE_THRESHOLD
+        assert plan.statistics.insert_fraction >= DEFAULT_COST_MODEL.insert_route_threshold
 
     def test_delete_heavy_batch_coalesces(self):
         plan = plan_batch(stats(insertions=51, deletions=205))
@@ -105,7 +104,6 @@ class TestCostModelParameter:
     """plan_batch consumes an explicit CostModel (ISSUE 4 acceptance)."""
 
     def test_default_model_matches_module_constants(self):
-        assert DEFAULT_COST_MODEL.insert_route_threshold == INSERT_ROUTE_THRESHOLD
         assert estimate_costs(stats()) == DEFAULT_COST_MODEL.estimate(stats())
 
     def test_model_changes_routing(self):

@@ -92,3 +92,14 @@ def random_graph() -> DataGraph:
 def random_pattern() -> PatternGraph:
     """A 4-node random pattern over the same label set."""
     return make_random_pattern()
+
+
+async def register_default(service, key: str, pattern: PatternGraph, data: DataGraph):
+    """Register ``data`` under ``key`` with ``pattern`` as its default
+    subscription (what pattern-unaddressed reads resolve); returns the
+    published snapshot."""
+    from repro.service.subscriptions import DEFAULT_PATTERN_ID
+
+    await service.register(key, data)
+    await service.subscribe(key, DEFAULT_PATTERN_ID, pattern, replace=True)
+    return service.snapshot(key)

@@ -85,174 +85,3 @@ class TestGeneralProperties:
         assert se.size == 4
         assert "SE1" in se
         assert "PM1" not in se
-
-
-class TestIncrementalMaintenance:
-    """apply_update must equal a from-scratch rebuild of the mutated graph."""
-
-    def _mutations(self, graph, rng):
-        """A deterministic mixed mutation script valid for ``graph``."""
-        from repro.graph.updates import (
-            delete_data_edge,
-            delete_data_node,
-            insert_data_edge,
-            insert_data_node,
-        )
-
-        nodes = sorted(graph.nodes(), key=repr)
-        edges = sorted(graph.edges(), key=repr)
-        script = []
-        script.append(delete_data_edge(*edges[0]))
-        script.append(delete_data_edge(*edges[len(edges) // 2]))
-        victim = nodes[1]
-        script.append(delete_data_node(victim, graph.labels_of(victim)))
-        source = next(n for n in nodes if n != victim)
-        target = next(
-            n
-            for n in reversed(nodes)
-            if n != victim and n != source and not graph.has_edge(source, n)
-        )
-        script.append(insert_data_edge(source, target))
-        script.append(insert_data_node("fresh-node", "Z", edges=((source, "fresh-node"),)))
-        return script
-
-    @pytest.mark.parametrize("seed", range(4))
-    def test_mixed_script_tracks_rebuild(self, seed):
-        import random
-
-        from repro.partition.label_partition import LabelPartition as LP
-
-        graph = make_random_graph(seed=seed)
-        partition = LP.from_graph(graph)
-        for update in self._mutations(graph, random.Random(seed)):
-            update.apply(graph)
-            partition.apply_update(update)
-            assert partition == LP.from_graph(graph), update
-
-    def test_remove_node_drops_incoming_cross_edges(self, figure4_data):
-        partition = LabelPartition.from_graph(figure4_data)
-        assert ("SE2", "TE1") in partition.partition("SE").cross_edges
-        from repro.graph.updates import delete_data_node
-
-        update = delete_data_node("TE1", figure4_data.labels_of("TE1"))
-        update.apply(figure4_data)
-        partition.apply_update(update)
-        assert ("SE2", "TE1") not in partition.partition("SE").cross_edges
-        assert partition == LabelPartition.from_graph(figure4_data)
-
-    def test_last_node_of_label_drops_partition(self):
-        from repro.graph.digraph import DataGraph
-        from repro.graph.updates import delete_data_node
-
-        graph = DataGraph({"a": "A", "b": "B"}, [("a", "b")])
-        partition = LabelPartition.from_graph(graph)
-        update = delete_data_node("b", ("B",))
-        update.apply(graph)
-        partition.apply_update(update)
-        assert partition.labels() == {"A"}
-        assert partition == LabelPartition.from_graph(graph)
-
-    def test_resurrection_sequence(self):
-        """Delete + re-insert with a different label, the compiled
-        rebirth shape."""
-        from repro.graph.digraph import DataGraph
-        from repro.graph.updates import delete_data_node, insert_data_node
-
-        graph = DataGraph({"a": "A", "b": "B"}, [("a", "b"), ("b", "a")])
-        partition = LabelPartition.from_graph(graph)
-        for update in (
-            delete_data_node("b", ("B",)),
-            insert_data_node("b", "C", edges=(("a", "b"),)),
-        ):
-            update.apply(graph)
-            partition.apply_update(update)
-        assert partition.label_of("b") == "C"
-        assert partition == LabelPartition.from_graph(graph)
-
-    def test_pattern_update_rejected(self, figure4_data):
-        from repro.graph.errors import UpdateError
-        from repro.graph.updates import insert_pattern_edge
-
-        partition = LabelPartition.from_graph(figure4_data)
-        with pytest.raises(UpdateError):
-            partition.apply_update(insert_pattern_edge("A", "B", 2))
-
-    def test_copy_is_independent(self, figure4_data):
-        from repro.graph.updates import delete_data_edge
-
-        partition = LabelPartition.from_graph(figure4_data)
-        clone = partition.copy()
-        update = delete_data_edge("SE2", "TE1")
-        update.apply(figure4_data)
-        clone.apply_update(update)
-        assert ("SE2", "TE1") in partition.partition("SE").cross_edges
-        assert ("SE2", "TE1") not in clone.partition("SE").cross_edges
-
-
-class TestPartitionCache:
-    """UA-GPNM's cross-batch LabelPartition cache (ISSUE 4): reused
-    while DataGraph.version matches, rebuilt after any out-of-band
-    mutation, always equal to a from-scratch partition."""
-
-    def _engine_and_batches(self, seed=11, rounds=3):
-        from repro.algorithms.ua_gpnm import UAGPNM
-        from repro.workloads.generators import SocialGraphSpec, generate_social_graph
-        from repro.workloads.pattern_gen import PatternSpec, generate_pattern
-        from repro.workloads.update_gen import UpdateWorkloadSpec, generate_update_batch
-
-        data = generate_social_graph(
-            SocialGraphSpec(name="cache", num_nodes=40, num_edges=130, seed=seed)
-        )
-        pattern = generate_pattern(
-            PatternSpec(num_nodes=4, num_edges=4, labels=("PM", "SE", "TE"), seed=seed)
-        )
-        engine = UAGPNM(pattern, data, use_partition=True, batch_plan="partitioned")
-
-        def batch(round_number):
-            return generate_update_batch(
-                engine.data,
-                engine.pattern,
-                UpdateWorkloadSpec(
-                    num_pattern_updates=0,
-                    num_data_updates=12,
-                    seed=seed * 100 + round_number,
-                    mix="delete-heavy",
-                ),
-            )
-
-        return engine, batch, rounds
-
-    def test_cache_tracks_graph_across_batches(self):
-        engine, make_batch, rounds = self._engine_and_batches()
-        assert engine._partition_cache is not None  # seeded at construction
-        for round_number in range(rounds):
-            outcome = engine.subsequent_query(make_batch(round_number))
-            assert outcome.stats.planned_strategy == "partitioned"
-            assert engine._partition_cache is not None
-            assert engine._partition_version == engine._data.version
-            assert engine._partition_cache == LabelPartition.from_graph(engine._data)
-
-    def test_cache_invalidated_on_out_of_band_mutation(self):
-        engine, make_batch, _rounds = self._engine_and_batches(seed=12)
-        engine.subsequent_query(make_batch(0))
-        cached_version = engine._partition_version
-        # Mutate the engine's graph behind the cache's back.
-        victim_edge = next(iter(engine._data.edges()))
-        engine._data.remove_edge(*victim_edge)
-        assert engine._data.version != cached_version
-        # The next partitioned batch must rebuild, not trust the cache.
-        engine.subsequent_query(make_batch(1))
-        assert engine._partition_version == engine._data.version
-        assert engine._partition_cache == LabelPartition.from_graph(engine._data)
-
-    def test_results_identical_with_and_without_cache(self):
-        """The cache is a pure optimisation: forcing a rebuild every
-        batch (by invalidating) yields bit-identical query results."""
-        engine_a, make_batch_a, rounds = self._engine_and_batches(seed=13)
-        engine_b, make_batch_b, _ = self._engine_and_batches(seed=13)
-        for round_number in range(rounds):
-            engine_b._invalidate_partition_cache()
-            result_a = engine_a.subsequent_query(make_batch_a(round_number))
-            result_b = engine_b.subsequent_query(make_batch_b(round_number))
-            assert result_a.result == result_b.result
-            assert engine_a.slen == engine_b.slen

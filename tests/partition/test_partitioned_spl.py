@@ -83,3 +83,57 @@ class TestPartitionedRecompute:
     def test_empty_sources(self, figure4_data):
         slen = SLenMatrix.from_graph(figure4_data)
         assert partitioned_recompute_rows(figure4_data, slen, []) == {}
+
+
+class TestPartitionedRoute:
+    def test_equals_nopar_after_graph_edits(self, monkeypatch):
+        """UA-GPNM's partitioned route over several delete-heavy rounds,
+        with the engine's graph edited behind its back between rounds,
+        equals UA-GPNM-NoPar on the coalesced route bit for bit: each
+        settle partitions the graph it is given, not an earlier one."""
+        from repro.algorithms.ua_gpnm import UAGPNM
+        from repro.partition import partitioned_spl
+        from repro.workloads.pattern_gen import PatternSpec, generate_pattern
+        from repro.workloads.update_gen import UpdateWorkloadSpec, generate_update_batch
+
+        recomputes = []
+        real_recompute = partitioned_spl.partitioned_recompute_rows
+
+        def counting_recompute(*args, **kwargs):
+            recomputes.append(1)
+            return real_recompute(*args, **kwargs)
+
+        monkeypatch.setattr(partitioned_spl, "partitioned_recompute_rows", counting_recompute)
+
+        data = generate_social_graph(
+            SocialGraphSpec(name="route", num_nodes=40, num_edges=130, seed=11)
+        )
+        pattern = generate_pattern(
+            PatternSpec(num_nodes=4, num_edges=4, labels=("PM", "SE", "TE"), seed=11)
+        )
+        partitioned = UAGPNM(pattern, data, batch_plan="partitioned")
+        plain = UAGPNM(pattern, data, use_partition=False, batch_plan="coalesced")
+        for round_number in range(4):
+            batch = generate_update_batch(
+                partitioned.data,
+                partitioned.pattern,
+                UpdateWorkloadSpec(
+                    num_pattern_updates=0,
+                    num_data_updates=12,
+                    seed=1100 + round_number,
+                    mix="delete-heavy",
+                ),
+            )
+            outcome = partitioned.subsequent_query(batch)
+            expected = plain.subsequent_query(batch)
+            assert outcome.stats.planned_strategy == "partitioned"
+            assert outcome.result == expected.result
+            assert partitioned.slen == plain.slen
+            assert partitioned.slen == SLenMatrix.from_graph(partitioned.data)
+            # Out-of-band edit of both engines' graphs; each matrix is
+            # resynced so the next round starts from a consistent state.
+            victim = sorted(partitioned.data.edges(), key=repr)[round_number]
+            for engine in (partitioned, plain):
+                engine._data.remove_edge(*victim)
+                engine._slen = SLenMatrix.from_graph(engine._data)
+        assert recomputes, "no settle took the partition recompute route"

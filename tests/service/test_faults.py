@@ -33,6 +33,8 @@ from repro.service import (
 from repro.service.journal import DeadLetterJournal, GraphJournal, JournalError, journal_slug
 from repro.service.service import default_algorithm_factory
 
+from tests.conftest import register_default
+
 
 def make_data(num_nodes: int = 8) -> DataGraph:
     data = DataGraph()
@@ -80,7 +82,7 @@ def run(coro):
 async def oracle_state(payloads):
     """The uninterrupted run: apply ``payloads`` with no journal/faults."""
     service = StreamingUpdateService(ServiceConfig(**QUIET))
-    await service.register_graph("g", make_pattern(), make_data())
+    await register_default(service, "g", make_pattern(), make_data())
     for payload in payloads:
         receipt = await service.submit("g", payload)
         assert receipt.rejected == 0
@@ -131,7 +133,7 @@ async def crash_run(journal_dir, arm, payloads=WORKLOAD):
     service = StreamingUpdateService(
         ServiceConfig(journal_dir=str(journal_dir), **EAGER), faults=faults
     )
-    await service.register_graph("g", make_pattern(), make_data())
+    await register_default(service, "g", make_pattern(), make_data())
     durable = []
     crashed = False
     for payload in payloads:
@@ -159,7 +161,7 @@ async def recover_and_snapshot(journal_dir):
     service = StreamingUpdateService(
         ServiceConfig(journal_dir=str(journal_dir), **QUIET)
     )
-    await service.register_graph("g", make_pattern(), make_data())
+    await register_default(service, "g", make_pattern(), make_data())
     await service.drain()
     snapshot = service.snapshot("g")
     stats = service.stats("g")
@@ -204,14 +206,14 @@ def test_recovered_service_keeps_accepting_and_checkpointing(tmp_path):
         await crash_run(tmp_path, lambda f: f.arm(PRE_SETTLE, after=0))
         config = ServiceConfig(journal_dir=str(tmp_path), **QUIET)
         revived = StreamingUpdateService(config)
-        await revived.register_graph("g", make_pattern(), make_data())
+        await register_default(revived, "g", make_pattern(), make_data())
         await revived.drain()
         receipt = await revived.submit("g", {"inserts": [edge_spec("n4", "n6")]})
         assert receipt.accepted == 1
         await revived.close()
 
         third = StreamingUpdateService(config)
-        await third.register_graph("g", make_pattern(), make_data())
+        await register_default(third, "g", make_pattern(), make_data())
         await third.drain()
         assert third.snapshot("g").data.has_edge("n4", "n6")
         await third.close()
@@ -234,7 +236,7 @@ def test_transient_settle_failure_is_retried_to_success(tmp_path):
             ),
             algorithm_factory=factory,
         )
-        await service.register_graph("g", make_pattern(), make_data())
+        await register_default(service, "g", make_pattern(), make_data())
         await service.submit("g", {"inserts": [edge_spec("n0", "n2")]})
         await service.drain()
         stats = service.stats("g")
@@ -271,7 +273,7 @@ def test_poison_delta_is_quarantined_and_the_graph_lives_on(tmp_path):
             ),
             algorithm_factory=factory,
         )
-        await service.register_graph("g", make_pattern(), make_data())
+        await register_default(service, "g", make_pattern(), make_data())
         # One batch: the poison delta plus two innocents.
         await service.submit(
             "g",
@@ -350,7 +352,7 @@ def test_quarantine_cascades_to_buffered_dependents(tmp_path):
             ),
             algorithm_factory=factory,
         )
-        await service.register_graph("g", make_pattern(), make_data())
+        await register_default(service, "g", make_pattern(), make_data())
         first = service.submit_nowait(
             "g", {"inserts": [edge_spec("n0", "n2"), edge_spec("n1", "n4")]}
         )
@@ -503,7 +505,7 @@ def test_queue_errors_surface_in_stats_and_log(tmp_path, caplog):
         service = StreamingUpdateService(
             ServiceConfig(journal_dir=str(tmp_path), **EAGER), faults=faults
         )
-        await service.register_graph("g", make_pattern(), make_data())
+        await register_default(service, "g", make_pattern(), make_data())
         await service.submit("g", {"inserts": [edge_spec("n0", "n2")]})
         await service.quiesce()
         assert len(service.errors) == 1
@@ -574,7 +576,7 @@ def test_recovery_splits_settle_provenance(tmp_path):
         service = StreamingUpdateService(
             ServiceConfig(journal_dir=str(tmp_path), **QUIET)
         )
-        await service.register_graph("g", make_pattern(), make_data())
+        await register_default(service, "g", make_pattern(), make_data())
         await service.drain()
         stats = service.stats("g")
         # The journaled-but-unsettled tail settled as *recovered*.

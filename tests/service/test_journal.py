@@ -31,6 +31,8 @@ from repro.service.journal import (
     update_to_doc,
 )
 
+from tests.conftest import register_default
+
 
 def make_graph(num_nodes: int = 6) -> DataGraph:
     data = DataGraph()
@@ -538,7 +540,7 @@ def test_replay_is_idempotent_across_repeated_recoveries(tmp_path):
     async def scenario():
         config = ServiceConfig(journal_dir=str(tmp_path), **QUIET)
         service = StreamingUpdateService(config)
-        await service.register_graph("g", make_pattern(), make_graph())
+        await register_default(service, "g", make_pattern(), make_graph())
         receipt = await service.submit(
             "g", {"inserts": [{"type": "edge", "source": "n0", "target": "n3"}]}
         )
@@ -549,7 +551,7 @@ def test_replay_is_idempotent_across_repeated_recoveries(tmp_path):
 
         for boot in range(3):
             revived = StreamingUpdateService(config)
-            await revived.register_graph("g", make_pattern(), make_graph())
+            await register_default(revived, "g", make_pattern(), make_graph())
             await revived.drain()
             stats = revived.stats("g")
             snapshot = revived.snapshot("g")
@@ -573,7 +575,7 @@ def test_recovery_skips_deltas_already_present_in_the_base(tmp_path):
     async def scenario():
         config = ServiceConfig(journal_dir=str(tmp_path), **QUIET)
         service = StreamingUpdateService(config)
-        await service.register_graph("g", make_pattern(), make_graph())
+        await register_default(service, "g", make_pattern(), make_graph())
         await service.submit(
             "g", {"inserts": [{"type": "edge", "source": "n0", "target": "n3"}]}
         )
@@ -584,7 +586,7 @@ def test_recovery_skips_deltas_already_present_in_the_base(tmp_path):
         base = make_graph()
         base.add_edge("n0", "n3")
         revived = StreamingUpdateService(config)
-        await revived.register_graph("g", make_pattern(), base)
+        await register_default(revived, "g", make_pattern(), base)
         await revived.drain()
         stats = revived.stats("g")
         assert stats["recovery_skipped"] == 1

@@ -6,6 +6,8 @@ import json
 from repro.graph import DataGraph, PatternGraph
 from repro.service import ServiceConfig, ServiceServer, StreamingUpdateService
 
+from tests.conftest import register_default
+
 
 def make_data() -> DataGraph:
     data = DataGraph()
@@ -54,7 +56,7 @@ def test_server_round_trip():
         service = StreamingUpdateService(
             ServiceConfig(deadline_seconds=0.0, max_buffer=10_000, coalesce_min_batch=10_000)
         )
-        await service.register_graph("g", make_pattern(), make_data())
+        await register_default(service, "g", make_pattern(), make_data())
         server = ServiceServer(service, port=0)
         host, port = await server.start()
         assert port != 0  # ephemeral port was bound and reflected
@@ -119,7 +121,7 @@ def test_server_error_paths_keep_the_connection_alive():
         service = StreamingUpdateService(
             ServiceConfig(deadline_seconds=30.0, max_buffer=10_000, coalesce_min_batch=10_000)
         )
-        await service.register_graph("g", make_pattern(), make_data())
+        await register_default(service, "g", make_pattern(), make_data())
         server = ServiceServer(service, port=0)
         host, port = await server.start()
         reader, writer = await asyncio.open_connection(host, port)
@@ -162,7 +164,7 @@ def test_server_refuses_updates_when_overloaded():
         service = StreamingUpdateService(
             ServiceConfig(deadline_seconds=30.0, max_buffer=10_000, coalesce_min_batch=10_000)
         )
-        await service.register_graph("g", make_pattern(), make_data())
+        await register_default(service, "g", make_pattern(), make_data())
         server = ServiceServer(service, port=0, max_pending=2)
         host, port = await server.start()
         reader, writer = await asyncio.open_connection(host, port)
@@ -300,7 +302,7 @@ def test_server_closes_idle_connections():
         service = StreamingUpdateService(
             ServiceConfig(deadline_seconds=30.0, max_buffer=10_000, coalesce_min_batch=10_000)
         )
-        await service.register_graph("g", make_pattern(), make_data())
+        await register_default(service, "g", make_pattern(), make_data())
         server = ServiceServer(service, port=0, idle_timeout=0.1)
         host, port = await server.start()
         reader, writer = await asyncio.open_connection(host, port)

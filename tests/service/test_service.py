@@ -31,6 +31,8 @@ from repro.service.faults import flaky_algorithm_factory
 from repro.service.service import default_algorithm_factory
 from repro.spl.matrix import SLenMatrix
 
+from tests.conftest import register_default
+
 
 def make_data(num_nodes: int = 10) -> DataGraph:
     """A deterministic ring over ``num_nodes`` labelled nodes."""
@@ -80,7 +82,7 @@ def test_concurrent_writers_settle_to_the_sequential_oracle():
     async def scenario():
         data = make_data(12)
         service = StreamingUpdateService(ServiceConfig(**QUIET))
-        await service.register_graph("g", make_pattern(), data)
+        await register_default(service, "g", make_pattern(), data)
 
         # Each writer owns a disjoint set of non-ring pairs and toggles
         # them an odd number of times, so the expected final graph is
@@ -132,7 +134,7 @@ def test_deadline_expiry_cuts_the_buffer():
         service = StreamingUpdateService(
             ServiceConfig(deadline_seconds=0.05, max_buffer=10_000, coalesce_min_batch=10_000)
         )
-        await service.register_graph("g", make_pattern(), make_data())
+        await register_default(service, "g", make_pattern(), make_data())
         receipt = await service.submit("g", {"inserts": [edge_spec("n0", "n2")]})
         assert receipt.cut is None
         assert receipt.pending == 1
@@ -158,7 +160,7 @@ def test_planner_crossover_cuts_immediately():
         service = StreamingUpdateService(
             ServiceConfig(deadline_seconds=30.0, max_buffer=10_000, coalesce_min_batch=4)
         )
-        await service.register_graph("g", make_pattern(), make_data(40))
+        await register_default(service, "g", make_pattern(), make_data(40))
         # A deletion-heavy batch past the cost model's coalescing
         # crossover routes off per-update maintenance, which is the
         # service's cut signal (32 deletions on 40 nodes prices
@@ -182,7 +184,7 @@ def test_capacity_backstop_cuts_when_buffer_fills():
         service = StreamingUpdateService(
             ServiceConfig(deadline_seconds=30.0, max_buffer=3, coalesce_min_batch=10_000)
         )
-        await service.register_graph("g", make_pattern(), make_data())
+        await register_default(service, "g", make_pattern(), make_data())
         receipt = await service.submit(
             "g",
             {
@@ -206,7 +208,7 @@ def test_zero_deadline_cuts_every_payload():
         service = StreamingUpdateService(
             ServiceConfig(deadline_seconds=0.0, max_buffer=10_000, coalesce_min_batch=10_000)
         )
-        await service.register_graph("g", make_pattern(), make_data())
+        await register_default(service, "g", make_pattern(), make_data())
         receipt = await service.submit("g", {"inserts": [edge_spec("n0", "n2")]})
         assert receipt.cut == CUT_DEADLINE
         await service.drain()
@@ -223,7 +225,7 @@ def test_close_settles_every_accepted_delta():
     async def scenario():
         data = make_data(12)
         service = StreamingUpdateService(ServiceConfig(**QUIET))
-        await service.register_graph("g", make_pattern(), data)
+        await register_default(service, "g", make_pattern(), data)
         pairs = [("n0", f"n{i}") for i in range(2, 11)]
         for source, target in pairs:
             receipt = await service.submit("g", {"inserts": [edge_spec(source, target)]})
@@ -271,7 +273,7 @@ def test_reads_answer_from_last_snapshot_while_settle_is_in_flight():
             ServiceConfig(deadline_seconds=0.0, max_buffer=10_000, coalesce_min_batch=10_000),
             algorithm_factory=slow_factory,
         )
-        await service.register_graph("g", make_pattern(), make_data())
+        await register_default(service, "g", make_pattern(), make_data())
         baseline = service.snapshot("g")
 
         receipt = await service.submit("g", {"inserts": [edge_spec("n0", "n2")]})
@@ -307,7 +309,7 @@ def test_reads_answer_from_last_snapshot_while_settle_is_in_flight():
 def test_validation_sees_buffered_but_unsettled_deltas():
     async def scenario():
         service = StreamingUpdateService(ServiceConfig(**QUIET))
-        await service.register_graph("g", make_pattern(), make_data())
+        await register_default(service, "g", make_pattern(), make_data())
         first = await service.submit("g", {"inserts": [edge_spec("n0", "n2")]})
         assert (first.accepted, first.rejected) == (1, 0)
         # Still buffered — yet the duplicate must be rejected against
@@ -324,7 +326,7 @@ def test_validation_sees_buffered_but_unsettled_deltas():
 def test_invalid_deltas_are_rejected_with_reasons_and_valid_ones_kept():
     async def scenario():
         service = StreamingUpdateService(ServiceConfig(**QUIET))
-        await service.register_graph("g", make_pattern(), make_data())
+        await register_default(service, "g", make_pattern(), make_data())
         receipt = await service.submit(
             "g",
             {
@@ -353,7 +355,7 @@ def test_invalid_deltas_are_rejected_with_reasons_and_valid_ones_kept():
 def test_node_insert_payload_edges_are_validated():
     async def scenario():
         service = StreamingUpdateService(ServiceConfig(**QUIET))
-        await service.register_graph("g", make_pattern(), make_data())
+        await register_default(service, "g", make_pattern(), make_data())
         bad = await service.submit(
             "g",
             {
@@ -398,9 +400,9 @@ def test_unknown_graph_and_duplicate_registration_raise():
             await service.submit("nope", {"inserts": []})
         with pytest.raises(ServiceError, match="unknown graph"):
             service.snapshot("nope")
-        await service.register_graph("g", make_pattern(), make_data())
+        await register_default(service, "g", make_pattern(), make_data())
         with pytest.raises(ServiceError, match="already registered"):
-            await service.register_graph("g", make_pattern(), make_data())
+            await register_default(service, "g", make_pattern(), make_data())
         await service.close()
 
     run(scenario())
@@ -409,7 +411,7 @@ def test_unknown_graph_and_duplicate_registration_raise():
 def test_payload_addressed_to_a_different_graph_is_refused():
     async def scenario():
         service = StreamingUpdateService(ServiceConfig(**QUIET))
-        await service.register_graph("g", make_pattern(), make_data())
+        await register_default(service, "g", make_pattern(), make_data())
         with pytest.raises(DeltaError, match="addresses graph"):
             await service.submit("g", {"graph": "other", "inserts": []})
         await service.close()
@@ -420,8 +422,8 @@ def test_payload_addressed_to_a_different_graph_is_refused():
 def test_graphs_are_independent():
     async def scenario():
         service = StreamingUpdateService(ServiceConfig(**QUIET))
-        await service.register_graph("a", make_pattern(), make_data())
-        await service.register_graph("b", make_pattern(), make_data())
+        await register_default(service, "a", make_pattern(), make_data())
+        await register_default(service, "b", make_pattern(), make_data())
         await service.submit("a", {"inserts": [edge_spec("n0", "n2")]})
         await service.close()
         assert service.snapshot("a").data.has_edge("n0", "n2")

@@ -19,7 +19,6 @@ The load-bearing suite of the subscription system:
 """
 
 import asyncio
-import warnings
 
 import pytest
 
@@ -30,7 +29,6 @@ from repro.service import (
     ServiceConfig,
     ServiceError,
     StreamingUpdateService,
-    reset_register_deprecation_warning,
 )
 from repro.service.service import default_algorithm_factory
 from repro.spl.matrix import SLenMatrix
@@ -453,37 +451,27 @@ def test_subscriptions_survive_journal_compaction(tmp_path):
 
 
 # ----------------------------------------------------------------------
-# The single-pattern shim
+# Pattern-unaddressed reads
 # ----------------------------------------------------------------------
-def test_register_graph_shim_serves_default_pattern():
+def test_unaddressed_reads_resolve_the_default_subscription():
     async def scenario():
-        reset_register_deprecation_warning()
         service = StreamingUpdateService(ServiceConfig(**QUIET))
-        with pytest.warns(DeprecationWarning, match="register_graph.*deprecated"):
-            snapshot = await service.register_graph("g", make_pattern(), make_data())
-        assert snapshot.pattern_ids == (DEFAULT_PATTERN_ID,)
-        # Legacy accessors and pattern-unaddressed reads resolve "default".
+        await service.register("g", make_data())
+        await service.subscribe("g", "q", make_pattern(label_b="A"))
+        await service.subscribe("g", DEFAULT_PATTERN_ID, make_pattern(), replace=True)
+        snapshot = service.snapshot("g")
+        assert snapshot.pattern_ids == ("q", DEFAULT_PATTERN_ID)
+        # The accessors and reads that name no pattern resolve "default".
         assert snapshot.result.as_dict() == service.matches("g")
         assert service.matches("g") == service.matches("g", pattern_id=DEFAULT_PATTERN_ID)
+        assert service.top_k("g", 3) == service.top_k("g", 3, pattern_id=DEFAULT_PATTERN_ID)
+        # ...not the first subscription.
+        assert service.matches("g") != service.matches("g", pattern_id="q")
         await service.submit("g", {"inserts": [edge_spec("n0", "n2")]})
         await service.drain()
+        assert service.matches("g") == service.matches("g", pattern_id=DEFAULT_PATTERN_ID)
         assert_matches_oracle(service, "g")
         await service.close()
-
-    run(scenario())
-
-
-def test_register_graph_deprecation_warns_once_per_process():
-    async def scenario():
-        reset_register_deprecation_warning()
-        service = StreamingUpdateService(ServiceConfig(**QUIET))
-        with pytest.warns(DeprecationWarning):
-            await service.register_graph("g1", make_pattern(), make_data())
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            await service.register_graph("g2", make_pattern(), make_data())
-        await service.close()
-        reset_register_deprecation_warning()
 
     run(scenario())
 

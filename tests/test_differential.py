@@ -38,6 +38,8 @@ from repro.workloads.generators import DEFAULT_LABEL_ORDER, SocialGraphSpec, gen
 from repro.workloads.pattern_gen import PatternSpec, generate_pattern
 from repro.workloads.update_gen import UpdateWorkloadSpec, generate_update_batch
 
+from tests.conftest import register_default
+
 #: The seeds exercised by the harness (≥ 50, per the acceptance criteria).
 SEEDS = tuple(range(52))
 #: Bump for a deeper local sweep: SEEDS = tuple(range(52 + EXTRA_SEEDS)).
@@ -219,7 +221,7 @@ def test_as_of_reads_match_every_checkpointed_version(seed):
 
     async def scenario():
         service = StreamingUpdateService(stress_config())
-        await service.register_graph("g", pattern, data)
+        await register_default(service, "g", pattern, data)
         try:
             checkpoints = {0: _expected_reads(pattern, data)}
             for version, (payload, graph) in enumerate(zip(payloads, states), start=1):
@@ -268,7 +270,7 @@ def test_as_of_past_eviction_raises_clean_version_expired():
 
     async def scenario():
         service = StreamingUpdateService(stress_config(history=2))
-        await service.register_graph("g", pattern, data)
+        await register_default(service, "g", pattern, data)
         try:
             for payload in payloads:
                 await service.submit("g", payload)

@@ -24,7 +24,7 @@ from repro.spl.matrix import SLenMatrix
 from repro.versioning import VersionExpiredError
 from repro.workloads.update_gen import derive_seed
 
-from tests.conftest import make_random_graph, make_random_pattern
+from tests.conftest import make_random_graph, make_random_pattern, register_default
 
 #: Root seed of the whole stress suite.  Every per-case RNG seed below
 #: derives from this single logged value via :func:`derive_seed`
@@ -150,7 +150,7 @@ def test_concurrent_readers_always_see_a_consistent_version(case):
         )
 
         service = StreamingUpdateService(stress_config())
-        await service.register_graph("g", pattern, base)
+        await register_default(service, "g", pattern, base)
 
         pinned: list = []
         errors: list[BaseException] = []
@@ -223,7 +223,7 @@ def test_pinned_handle_outlives_history_eviction():
         base = make_random_graph(num_nodes=16, num_edges=40, seed=99)
         pattern = make_random_pattern(seed=99)
         service = StreamingUpdateService(stress_config(history=3))
-        await service.register_graph("g", pattern, base)
+        await register_default(service, "g", pattern, base)
 
         pinned_base = service.pin("g", 0)
         rng = random.Random(99)
@@ -257,7 +257,7 @@ def test_reader_pin_is_wait_free_during_a_slow_settle():
         base = make_random_graph(num_nodes=16, num_edges=40, seed=7)
         pattern = make_random_pattern(seed=7)
         service = StreamingUpdateService(stress_config())
-        await service.register_graph("g", pattern, base)
+        await register_default(service, "g", pattern, base)
 
         payloads, states = random_payloads(base, random.Random(7), 1, False)
         submit = asyncio.ensure_future(service.submit("g", payloads[0]))
