@@ -142,8 +142,8 @@ async def run_benchmark(duration: float, writers: int, readers: int) -> dict:
     inflight = {"count": 0}
     settle_seconds: list[float] = []
 
-    def factory(pattern_graph, data_graph, service_config):
-        algorithm = default_algorithm_factory(pattern_graph, data_graph, service_config)
+    def factory(data_graph, service_config):
+        algorithm = default_algorithm_factory(data_graph, service_config)
         inner = algorithm.subsequent_query
 
         def instrumented(batch):

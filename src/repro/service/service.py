@@ -38,10 +38,13 @@ continuously-available — and, with a journal directory configured,
   concatenation *once*: a backlog that cut several times before its
   first settle ran pays one ``SLen`` pass, one publish and one
   checkpoint, not one per cut.  A caller that awaits each receipt never
-  has two cuts queued, so its settle boundaries are unchanged.  The
-  settle runs via the algorithm on an executor thread, serialized on
-  the graph's queue.  A settle that raises is retried with capped exponential
-  backoff against a restored copy of the last good state; if the batch
+  has two cuts queued, so its settle boundaries are unchanged.  A
+  settle attempt makes one executor call (engine pass, fan-out,
+  snapshot build), serialized on the graph's queue, and then commits
+  its snapshot on the event loop: the loop is the only writer of
+  session state, so loop-side reads never see it change under them.
+  A settle that raises is retried with capped exponential backoff on an
+  engine rebuilt from the last published graph; if the batch
   still fails, it is bisected to isolate the *poison* deltas, which are
   durably recorded in the graph's
   :class:`~repro.service.journal.DeadLetterJournal` while every
@@ -82,9 +85,10 @@ import contextlib
 import functools
 import itertools
 import logging
+import time
 from collections import Counter
 from collections.abc import Iterable, Mapping
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Callable, Optional
 
@@ -195,8 +199,8 @@ class ServiceConfig:
         bytes (and a checkpoint has advanced), it is rewritten as a
         snapshot plus the uncheckpointed tail.
     settle_retries:
-        How many times a failed settle is retried (against a restored
-        copy of the last good state) before the batch is bisected and
+        How many times a failed settle is retried (on an engine rebuilt
+        from the last published graph) before the batch is bisected and
         its poison deltas quarantined.  ``0`` goes straight to
         bisection.
     settle_backoff_seconds / settle_backoff_cap_seconds:
@@ -388,7 +392,11 @@ class _IngestGroup:
 
 @dataclass
 class _GraphSession:
-    """Mutable per-graph state, touched only from the graph's queue."""
+    """Mutable per-graph state, touched only from the graph's queue.
+
+    Only the event loop writes it: executor steps compute and return,
+    and the queue action commits their results.
+    """
 
     key: str
     algorithm: GPNMAlgorithm
@@ -460,15 +468,14 @@ class _GraphSession:
 #: Builds the per-graph algorithm; injectable for tests (e.g. a slow
 #: settle wrapper proving reads do not block, or the fault harness's
 #: flaky wrapper proving retry and quarantine).
-AlgorithmFactory = Callable[[PatternGraph, DataGraph, "ServiceConfig"], GPNMAlgorithm]
+AlgorithmFactory = Callable[[DataGraph, "ServiceConfig"], GPNMAlgorithm]
 
 
-def default_algorithm_factory(
-    pattern: PatternGraph, data: DataGraph, config: ServiceConfig
-) -> GPNMAlgorithm:
-    """The stock factory: UA-GPNM wired to the service's tunables."""
+def default_algorithm_factory(data: DataGraph, config: ServiceConfig) -> GPNMAlgorithm:
+    """The stock factory: UA-GPNM over an empty pattern, wired to the
+    service's tunables (standing patterns live in the subscriptions)."""
     return UAGPNM(
-        pattern,
+        PatternGraph(),
         data,
         use_partition=config.use_partition,
         batch_plan=config.batch_plan,
@@ -545,9 +552,6 @@ class StreamingUpdateService:
                 recovered = await loop.run_in_executor(None, journal.open)
                 if recovered.base_graph is not None:
                     data = recovered.base_graph
-            algorithm = await loop.run_in_executor(
-                None, self._factory, PatternGraph(), data, self.config
-            )
             base_version = recovered.checkpoint_version if recovered is not None else 0
             restored: dict[str, Subscription] = {}
             if recovered is not None and recovered.subscriptions:
@@ -555,8 +559,8 @@ class StreamingUpdateService:
                     pattern_id: Subscription.from_doc(doc)
                     for pattern_id, doc in recovered.subscriptions.items()
                 }
-            snapshot = await loop.run_in_executor(
-                None, self._initial_snapshot, algorithm, base_version, restored
+            algorithm, snapshot = await loop.run_in_executor(
+                None, self._build_engine, data, base_version, restored
             )
         except BaseException:
             if journal is not None:
@@ -573,7 +577,7 @@ class StreamingUpdateService:
             versions=VersionStore(self.config.snapshot_history),
             subscriptions=restored,
         )
-        session.versions.publish(snapshot)
+        self._commit(session, snapshot)
         if recovered is not None and recovered.stamps is not None:
             session.history = GraphHistory.from_doc(recovered.stamps)
         else:
@@ -600,30 +604,55 @@ class StreamingUpdateService:
             )
         return session.snapshot
 
-    @staticmethod
-    def _initial_snapshot(
-        algorithm: GPNMAlgorithm,
-        version: int = 0,
-        subscriptions: Optional[Mapping[str, Subscription]] = None,
-    ) -> GraphSnapshot:
-        """Build a registration/rebuild snapshot from a fresh engine.
+    def _build_engine(
+        self,
+        data: DataGraph,
+        version: int,
+        subscriptions: Mapping[str, Subscription],
+    ) -> tuple[GPNMAlgorithm, GraphSnapshot]:
+        """Executor-side: a fresh engine over ``data`` and its snapshot.
 
-        Each subscription's relation is recomputed from scratch against
-        the forked state — registration and quarantine rebuilds have no
-        previous relation worth amending from.
+        Registration builds the first engine here.  A failed settle
+        attempt, which may leave the engine half-mutated, rebuilds it
+        from the published graph: settles are serialized, so that graph
+        is the pre-attempt state, and the engine constructor copies it.
+        Every subscription's relation is recomputed from scratch, since
+        a half-amended one is as suspect as the graph.
         """
+        algorithm = self._factory(data, self.config)
         data, slen = algorithm.fork_state()
         states: dict[str, SubscriptionState] = {}
-        if subscriptions:
-            for pattern_id, subscription in subscriptions.items():
-                subscription.recompute(data, slen)
-                states[pattern_id] = subscription.state(data, slen)
-        return GraphSnapshot(
-            version=version,
-            data=data,
-            slen=slen,
-            subscriptions=states,
+        for pattern_id, subscription in subscriptions.items():
+            subscription.recompute(data, slen)
+            states[pattern_id] = subscription.state(data, slen)
+        return algorithm, GraphSnapshot(
+            version=version, data=data, slen=slen, subscriptions=states
         )
+
+    def _commit(
+        self,
+        session: _GraphSession,
+        snapshot: GraphSnapshot,
+        *,
+        algorithm: Optional[GPNMAlgorithm] = None,
+        subscribed: Optional[Subscription] = None,
+        unsubscribed: Optional[str] = None,
+    ) -> None:
+        """Loop-side: publish ``snapshot`` with the engine or binding it brings.
+
+        The one writer of ``session.snapshot``, ``session.versions``,
+        ``session.algorithm`` and ``session.subscriptions``: executor
+        steps only compute, so loop-side readers (``stats``, reads, the
+        TCP front end) never see these change under them.
+        """
+        if algorithm is not None:
+            session.algorithm = algorithm
+        if subscribed is not None:
+            session.subscriptions[subscribed.pattern_id] = subscribed
+        if unsubscribed is not None:
+            del session.subscriptions[unsubscribed]
+        session.versions.publish(snapshot)
+        session.snapshot = snapshot
 
     @property
     def graphs(self) -> tuple[str, ...]:
@@ -691,23 +720,26 @@ class StreamingUpdateService:
             await loop.run_in_executor(
                 None, session.journal.append_subscribe, subscription.to_doc()
             )
-        return await loop.run_in_executor(
-            None, self._bind_subscription, session, subscription
+        snapshot = await loop.run_in_executor(
+            None, self._bind_subscription, session.snapshot, subscription
         )
+        self._commit(session, snapshot, subscribed=subscription)
+        return snapshot.state_for(pattern_id)
 
     @staticmethod
     def _bind_subscription(
-        session: _GraphSession, subscription: Subscription
-    ) -> SubscriptionState:
-        """Executor-side: compute the relation and republish the snapshot."""
-        snapshot = session.snapshot
+        snapshot: GraphSnapshot, subscription: Subscription
+    ) -> GraphSnapshot:
+        """Executor-side: compute the relation; ``snapshot`` with it bound.
+
+        Subscribing changes *which* patterns are bound, not the graph:
+        the result reuses the snapshot's data and ``SLen`` at the same
+        version, and the commit replaces the latest version with it.
+        """
         subscription.recompute(snapshot.data, snapshot.slen)
-        state = subscription.state(snapshot.data, snapshot.slen)
-        session.subscriptions[subscription.pattern_id] = subscription
         states = dict(snapshot.subscriptions)
-        states[subscription.pattern_id] = state
-        session.snapshot = StreamingUpdateService._republish(session, states)
-        return state
+        states[subscription.pattern_id] = subscription.state(snapshot.data, snapshot.slen)
+        return replace(snapshot, subscriptions=states)
 
     async def unsubscribe(self, key: str, pattern_id: str) -> bool:
         """Detach a standing pattern; ``True`` when it was subscribed.
@@ -724,10 +756,14 @@ class StreamingUpdateService:
         )
 
     async def _unsubscribe(self, session: _GraphSession, pattern_id: str) -> bool:
-        """Queue action: drop the subscription, journal, republish."""
+        """Queue action: journal the drop, then unbind and republish.
+
+        Write-ahead like :meth:`_subscribe`: a failed append raises
+        with the subscription still bound, so memory and the journal
+        agree on what a restart brings back.
+        """
         if pattern_id not in session.subscriptions:
             return False
-        del session.subscriptions[pattern_id]
         if session.journal is not None:
             await asyncio.get_running_loop().run_in_executor(
                 None, session.journal.append_unsubscribe, pattern_id
@@ -737,29 +773,12 @@ class StreamingUpdateService:
             for pid, state in session.snapshot.subscriptions.items()
             if pid != pattern_id
         }
-        session.snapshot = self._republish(session, states)
-        return True
-
-    @staticmethod
-    def _republish(
-        session: _GraphSession, states: Mapping[str, SubscriptionState]
-    ) -> GraphSnapshot:
-        """Replace the latest snapshot in place with new subscription states.
-
-        Subscribe/unsubscribe change *which* patterns are bound, not
-        the graph: the data and SLen are reused and the
-        version is unchanged (the version store supports replacing the
-        latest version, the same mechanism quarantine rebuilds use).
-        """
-        old = session.snapshot
-        snapshot = GraphSnapshot(
-            version=old.version,
-            data=old.data,
-            slen=old.slen,
-            subscriptions=dict(states),
+        self._commit(
+            session,
+            replace(session.snapshot, subscriptions=states),
+            unsubscribed=pattern_id,
         )
-        session.versions.publish(snapshot)
-        return snapshot
+        return True
 
     def attach_listener(self, key: str, pattern_id: str, listener: PushListener) -> int:
         """Attach a push listener to a subscription; returns a detach token.
@@ -1286,46 +1305,55 @@ class StreamingUpdateService:
         await self._restage(session, f"invalidated by quarantine of {last_error!r}")
 
     async def _restage(self, session: _GraphSession, reason: str) -> None:
-        """Rebuild the staged graph and dead-letter every delta it loses."""
-        dropped = await asyncio.get_running_loop().run_in_executor(
-            None, self._resync_staged, session
+        """Rebuild the staged graph and dead-letter every delta it loses.
+
+        Each cut batch keeps its place and seq high mark, even when it
+        loses every delta, so a settle iterating ``cuts`` stays aligned
+        and the checkpoint still advances.  An accepted delta is never
+        silently dropped.
+        """
+        batches = [batch for batch, _ in session.cuts]
+        batches.append(session.buffer)
+        staged, survivors, dropped = await asyncio.get_running_loop().run_in_executor(
+            None, self._resync_staged, session.algorithm, batches
         )
+        session.buffer = survivors.pop()
+        session.cuts[:] = [
+            (batch, seq_high) for batch, (_, seq_high) in zip(survivors, session.cuts)
+        ]
+        session.staged = staged
         for update in dropped:
             await self._quarantine(session, update, reason, kind="cascade")
 
     async def _attempt_settle(self, session: _GraphSession, batch: UpdateBatch) -> None:
         """One all-or-nothing settle attempt; raises the kernel's error.
 
-        On failure the algorithm is rebuilt from the published
-        snapshot's graph — immutable and value-equal to the pre-attempt
-        state, because settles are serialized on the graph's queue — so
-        no per-attempt restore copy is needed (the PR-7 restore point
-        deep-copied the graph before every attempt).  On success the
-        copy-on-write snapshot is published red-green style: the store
-        gains the new version and the session pointer swaps atomically,
-        while readers holding older handles keep them.
+        One executor call runs the attempt (:meth:`_settle_step`), then
+        the loop commits it: the copy-on-write snapshot is published
+        red-green style, while readers holding older handles keep
+        theirs.  On failure the engine is rebuilt from the published
+        graph (:meth:`_build_engine`), so no restore copy is taken.
         """
         loop = asyncio.get_running_loop()
         try:
-            events = await loop.run_in_executor(
-                None, self._execute_settle, session, batch
+            events, snapshot, publish_started = await loop.run_in_executor(
+                None, self._settle_step, session, batch
             )
         except Exception:
             session.settle_failures += 1
-            await loop.run_in_executor(
-                None, self._rebuild_algorithm, session, session.snapshot.data
+            published = session.snapshot
+            algorithm, snapshot = await loop.run_in_executor(
+                None, self._build_engine, published.data, published.version, session.subscriptions
             )
+            session.rebuilds += 1
+            self._commit(session, snapshot, algorithm=algorithm)
             raise
-        self._faults.hit(MID_SETTLE)
-        publish_started = loop.time()
-        snapshot = await loop.run_in_executor(
-            None, self._settled_snapshot, session, events
-        )
-        session.versions.publish(snapshot)
+        self._commit(session, snapshot)
         session.history.record(batch, snapshot.version)
-        session.snapshot = snapshot
-        session.publish_seconds += loop.time() - publish_started
+        session.publish_seconds += time.perf_counter() - publish_started
         session.settles += 1
+        session.maintenance_passes += 1
+        session.slen_update_passes += 1
         if session.recovery_pending > 0:
             # The batch drained recovery backlog (it may mix replayed
             # and freshly-live deltas; provenance is per-settle, not
@@ -1336,6 +1364,22 @@ class StreamingUpdateService:
             session.live_settles += 1
         session.settled += len(batch)
         self._notify(session, events, snapshot.version)
+
+    def _settle_step(
+        self, session: _GraphSession, batch: UpdateBatch
+    ) -> tuple[list[SubscriptionEvent], GraphSnapshot, float]:
+        """Executor-side: one whole settle attempt, committing nothing.
+
+        Runs the engine pass and fan-out (:meth:`_execute_settle`),
+        then the snapshot build (:meth:`_settled_snapshot`); the
+        ``mid-settle`` crash point falls between them.  Returns the
+        fan-out events, the snapshot and the ``perf_counter`` time the
+        build started (publish time runs from there to the commit).
+        """
+        events = self._execute_settle(session, batch)
+        self._faults.hit(MID_SETTLE)
+        publish_started = time.perf_counter()
+        return events, self._settled_snapshot(session, events), publish_started
 
     def _execute_settle(
         self, session: _GraphSession, batch: UpdateBatch
@@ -1353,66 +1397,33 @@ class StreamingUpdateService:
         the skip is provably lossless, see
         :func:`~repro.matching.shared.delta_touches_pattern`.
         """
-        session.algorithm.subsequent_query(batch)
-        session.maintenance_passes += 1
-        session.slen_update_passes += 1
+        algorithm = session.algorithm
+        algorithm.subsequent_query(batch)
         if not session.subscriptions:
             return []
-        shared = getattr(session.algorithm, "last_shared_delta", None)
-        data, slen = self._live_state(session.algorithm)
         # The shared delta carries the *maintained* (possibly compiled)
-        # update stream — same net effect as the raw batch.  An engine
-        # that exposes none (a test double wrapping subsequent_query)
-        # falls back to the raw data updates and amends every pattern.
-        updates = shared.updates if shared is not None else tuple(batch.data_updates())
+        # update stream — same net effect as the raw batch.  The live
+        # state is borrowed, not copied: settles are serialized.
+        shared = algorithm.last_shared_delta
+        data, slen = algorithm.shared_state()
         previous = session.snapshot.subscriptions
         events: list[SubscriptionEvent] = []
         for pattern_id, subscription in session.subscriptions.items():
             prev_state = previous.get(pattern_id)
             if prev_state is not None and not subscription.touched_by(shared):
-                subscription.skipped_settles += 1
-                session.fanout_skips += 1
-                events.append(
-                    SubscriptionEvent(
-                        subscription=subscription,
-                        state=prev_state,
-                        previous=prev_state,
-                        amended=False,
-                    )
-                )
+                events.append(SubscriptionEvent(subscription, prev_state, prev_state, amended=False))
                 continue
             subscription.relation = amend_match(
                 subscription.relation,
                 subscription.pattern,
                 data,
                 slen,
-                updates,
+                shared.updates,
                 enforce_totality=False,
             )
-            subscription.amend_passes += 1
-            session.fanout_amend_passes += 1
-            events.append(
-                SubscriptionEvent(
-                    subscription=subscription,
-                    state=subscription.state(data, slen),
-                    previous=prev_state,
-                    amended=True,
-                )
-            )
+            state = subscription.state(data, slen)
+            events.append(SubscriptionEvent(subscription, state, prev_state, amended=True))
         return events
-
-    @staticmethod
-    def _live_state(algorithm: GPNMAlgorithm) -> tuple[DataGraph, SLenMatrix]:
-        """The engine's post-batch ``(data, slen)`` for fan-out amendment.
-
-        Borrowed references when the engine exposes them (cheap; safe
-        because settles are serialized on the graph's queue), a forked
-        copy otherwise.
-        """
-        shared_state = getattr(algorithm, "shared_state", None)
-        if shared_state is not None:
-            return shared_state()
-        return algorithm.fork_state()
 
     def _notify(
         self,
@@ -1420,20 +1431,22 @@ class StreamingUpdateService:
         events: Iterable[SubscriptionEvent],
         version: int,
     ) -> None:
-        """Push one settle's per-pattern deltas to attached listeners.
+        """Count one settle's fan-out, then push its per-pattern deltas.
 
         Runs on the event loop after the snapshot is published, so a
         listener that immediately reads sees the state its delta
         describes.  Listener exceptions are logged and swallowed — a
         broken client must not fail the settle.
         """
-        if not self.config.push_notifications:
-            return
         for event in events:
             if not event.amended:
+                event.subscription.skipped_settles += 1
+                session.fanout_skips += 1
                 continue
+            event.subscription.amend_passes += 1
+            session.fanout_amend_passes += 1
             listeners = event.subscription.listeners
-            if not listeners:
+            if not listeners or not self.config.push_notifications:
                 continue
             delta = event.delta(session.key, version)
             if delta.is_empty:
@@ -1502,29 +1515,6 @@ class StreamingUpdateService:
                 functools.partial(session.dead_letter.append, update, error, kind=kind),
             )
 
-    def _rebuild_algorithm(self, session: _GraphSession, base: DataGraph) -> None:
-        """Rebuild the algorithm from the last good graph after a failure.
-
-        A failed ``subsequent_query`` may leave the algorithm's graph,
-        SLen and match state arbitrarily half-mutated; the only sound
-        recovery is a fresh engine on the pre-attempt state, with every
-        subscription's relation recomputed from scratch against it (a
-        half-amended relation is as suspect as the half-mutated graph).
-        The published snapshot is re-pointed at the rebuilt objects (and
-        re-published into the version store at the same version) so
-        reads never touch the corrupted ones.  ``base`` may be the
-        published snapshot's own graph: the algorithm constructor
-        copies its data argument, so the frozen snapshot stays frozen.
-        """
-        algorithm = self._factory(PatternGraph(), base, self.config)
-        session.algorithm = algorithm
-        session.rebuilds += 1
-        snapshot = self._initial_snapshot(
-            algorithm, session.snapshot.version, session.subscriptions
-        )
-        session.versions.publish(snapshot)
-        session.snapshot = snapshot
-
     @staticmethod
     def _settled_snapshot(
         session: _GraphSession, events: Iterable[SubscriptionEvent]
@@ -1550,31 +1540,27 @@ class StreamingUpdateService:
         )
 
     @staticmethod
-    def _resync_staged(session: _GraphSession) -> list[Update]:
-        """Rebuild the staged graph from the settled state; returns the drops.
+    def _resync_staged(
+        algorithm: GPNMAlgorithm, batches: Iterable[UpdateBatch]
+    ) -> tuple[DataGraph, list[UpdateBatch], list[Update]]:
+        """Executor-side: re-validate ``batches`` against the settled state.
 
-        The algorithm's state is authoritative.  The cut batches still
-        waiting for their settle, in cut order, and then the buffer are
-        re-validated against a *copy* of it and their survivors
-        re-applied (a quarantined delta can invalidate deltas that were
-        accepted against state that never materialised).  Each cut
-        batch keeps its place and seq high mark, even when it loses
-        every delta, so a settle iterating ``cuts`` stays aligned and
-        the checkpoint still advances.  Returns the invalidated updates
-        so the caller can dead-letter them — an accepted delta is never
-        silently dropped.
+        The algorithm's state is authoritative.  ``batches`` (the cut
+        batches still waiting for their settle, in cut order, then the
+        buffer) are re-validated in order against a copy of it and
+        their survivors re-applied: a quarantined delta can invalidate
+        deltas that were accepted against state that never
+        materialised.  Returns the staged graph, each batch's survivors
+        and the invalidated updates.
         """
-        staged = session.algorithm.data.copy()
+        staged = algorithm.data  # a copy
+        survivors: list[UpdateBatch] = []
         dropped: list[tuple[Update, str]] = []
-        for index, (batch, seq_high) in enumerate(session.cuts):
-            survivors = UpdateBatch()
-            dropped += _stage(staged, survivors, batch)[1]
-            session.cuts[index] = (survivors, seq_high)
-        survivors = UpdateBatch()
-        dropped += _stage(staged, survivors, session.buffer)[1]
-        session.buffer = survivors
-        session.staged = staged
-        return [update for update, _ in dropped]
+        for batch in batches:
+            kept = UpdateBatch()
+            dropped += _stage(staged, kept, batch)[1]
+            survivors.append(kept)
+        return staged, survivors, [update for update, _ in dropped]
 
     # ------------------------------------------------------------------
     # Reads — synchronous, snapshot-backed, never enter the queue

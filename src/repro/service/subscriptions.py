@@ -135,9 +135,9 @@ class Subscription:
 
     Owns the pattern's live (non-collapsed) match relation, the optional
     default ``k`` and the attached push listeners.  Mutated only under
-    the session's serialized write queue (the relation itself is only
-    touched on the executor, inside a settle or a rebuild), so no
-    locking is needed.
+    the session's serialized write queue (the relation only on the
+    executor, inside a settle, a subscribe or a rebuild; the counters
+    on the event loop, when a settle commits), so no locking is needed.
     """
 
     def __init__(
@@ -192,12 +192,8 @@ class Subscription:
             top_k=ranking,
         )
 
-    def touched_by(self, delta: Optional[SharedDelta]) -> bool:
-        """Whether the settled batch can have changed this pattern's
-        matches.  ``None`` (an engine that exposes no shared delta, e.g.
-        a test double wrapping ``subsequent_query``) means "assume yes"."""
-        if delta is None:
-            return True
+    def touched_by(self, delta: SharedDelta) -> bool:
+        """Whether the settled batch can have changed this pattern's matches."""
         return delta_touches_pattern(delta, self.pattern)
 
     # -- push listeners (event-loop-side) ------------------------------
@@ -248,8 +244,9 @@ class Subscription:
 class SubscriptionEvent:
     """One settle's outcome for one subscription (service-internal).
 
-    Produced on the executor during the settle, consumed on the event
-    loop to build the published snapshot state and the push delta.
+    Produced on the executor during the settle, which builds the next
+    snapshot from it; consumed on the event loop to count the fan-out
+    and to build the push delta.
     """
 
     subscription: Subscription

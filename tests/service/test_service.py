@@ -257,8 +257,8 @@ def test_reads_answer_from_last_snapshot_while_settle_is_in_flight():
         release_settle = threading.Event()
         loop = asyncio.get_running_loop()
 
-        def slow_factory(pattern, data, config):
-            algorithm = default_algorithm_factory(pattern, data, config)
+        def slow_factory(data, config):
+            algorithm = default_algorithm_factory(data, config)
             inner = algorithm.subsequent_query
 
             def slow(batch):
@@ -298,6 +298,35 @@ def test_reads_answer_from_last_snapshot_while_settle_is_in_flight():
         settled = service.snapshot("g")
         assert settled.version == 1
         assert settled.data.has_edge("n0", "n2")
+        await service.close()
+
+    run(scenario())
+
+
+def test_a_settle_makes_one_executor_hop():
+    # Engine pass, fan-out and snapshot build run in one executor call;
+    # the commit happens on the loop.  No journal, so no checkpoint hop.
+    async def scenario():
+        service = StreamingUpdateService(ServiceConfig(**QUIET))
+        await register_default(service, "g", make_pattern(), make_data())
+        await service.submit("g", {"inserts": [edge_spec("n0", "n2")]})
+        loop = asyncio.get_running_loop()
+        calls = []
+        run_in_executor = loop.run_in_executor
+
+        def counting(executor, func, *args):
+            calls.append(func)
+            return run_in_executor(executor, func, *args)
+
+        loop.run_in_executor = counting
+        try:
+            await service.drain()
+        finally:
+            del loop.run_in_executor
+        stats = service.stats("g")
+        assert (stats["settles"], stats["settle_failures"], stats["settle_retries"]) == (1, 0, 0)
+        assert len(calls) == 1, calls
+        assert service.snapshot("g").data.has_edge("n0", "n2")
         await service.close()
 
     run(scenario())
@@ -450,9 +479,9 @@ def test_admission_cuts_exactly_when_the_planner_leaves_per_update(
             DEFAULT_COST_MODEL, coalesce_fixed_overhead=0.0, partition_fixed_overhead=0.0
         )
 
-    def factory(pattern, data, config):
+    def factory(data, config):
         return UAGPNM(
-            pattern,
+            PatternGraph(),
             data,
             use_partition=config.use_partition,
             coalesce_min_batch=config.coalesce_min_batch,
@@ -528,8 +557,8 @@ def deletion_payloads(data: DataGraph, groups: int) -> list[dict]:
 def recording_factory(sizes: list[int]):
     """The stock factory, recording the size of every settled batch."""
 
-    def factory(pattern, data, config):
-        algorithm = default_algorithm_factory(pattern, data, config)
+    def factory(data, config):
+        algorithm = default_algorithm_factory(data, config)
         inner = algorithm.subsequent_query
 
         def recorded(batch):
@@ -717,8 +746,8 @@ def test_pipelined_burst_backlog_counts_every_waiting_payload():
         release_settle = threading.Event()
         loop = asyncio.get_running_loop()
 
-        def gated_factory(pattern, data, config):
-            algorithm = default_algorithm_factory(pattern, data, config)
+        def gated_factory(data, config):
+            algorithm = default_algorithm_factory(data, config)
             inner = algorithm.subsequent_query
 
             def gated(batch):

@@ -19,6 +19,7 @@ The load-bearing suite of the subscription system:
 """
 
 import asyncio
+import threading
 
 import pytest
 
@@ -30,6 +31,7 @@ from repro.service import (
     ServiceError,
     StreamingUpdateService,
 )
+from repro.service.faults import flaky_algorithm_factory
 from repro.service.service import default_algorithm_factory
 from repro.spl.matrix import SLenMatrix
 from repro.workloads.pattern_gen import PatternSpec, generate_pattern
@@ -267,8 +269,8 @@ def test_unsubscribe_mid_settle_is_serialized():
         release = asyncio.Event()
         loop = asyncio.get_running_loop()
 
-        def slow_factory(pattern, data, config):
-            algorithm = default_algorithm_factory(pattern, data, config)
+        def slow_factory(data, config):
+            algorithm = default_algorithm_factory(data, config)
             inner = algorithm.subsequent_query
 
             def slow(batch):
@@ -446,6 +448,117 @@ def test_subscriptions_survive_journal_compaction(tmp_path):
         assert set(revived.snapshot("g").subscriptions) == {"q0"}
         assert revived.matches("g", pattern_id="q0") == expected
         await revived.close()
+
+    run(scenario())
+
+
+def test_failed_unsubscribe_append_keeps_the_subscription(tmp_path, monkeypatch):
+    # Write-ahead: the journal record goes first, so a failed append
+    # leaves memory agreeing with what a restart would recover.
+    async def scenario():
+        service = StreamingUpdateService(
+            ServiceConfig(journal_dir=str(tmp_path), **QUIET)
+        )
+        await service.register("g", make_data())
+        await service.subscribe("g", "q0", make_pattern())
+
+        def failing_append(pattern_id):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(service._session("g").journal, "append_unsubscribe", failing_append)
+        with pytest.raises(OSError, match="disk full"):
+            await service.unsubscribe("g", "q0")
+        assert list(service.subscription_docs("g")) == ["q0"]
+        assert service.snapshot("g").pattern_ids == ("q0",)
+        # n0 (A) -> n4 (B) touches the pattern's labels: amended, not skipped.
+        await service.submit("g", {"inserts": [edge_spec("n0", "n4")]})
+        await service.drain()
+        assert service.subscription_docs("g")["q0"]["amend_passes"] == 1
+        assert_matches_oracle(service, "g")
+        await service.close()
+
+    run(scenario())
+
+
+# ----------------------------------------------------------------------
+# Single writer: only the event loop writes session state
+# ----------------------------------------------------------------------
+class RecordingDict(dict):
+    """A dict that records the thread of every item write."""
+
+    def __init__(self, writes: list, *args) -> None:
+        super().__init__(*args)
+        self.writes = writes
+
+    def __setitem__(self, key, value) -> None:
+        self.writes.append(("subscriptions[]", threading.get_ident()))
+        super().__setitem__(key, value)
+
+    def __delitem__(self, key) -> None:
+        self.writes.append(("subscriptions[]", threading.get_ident()))
+        super().__delitem__(key)
+
+
+def test_session_state_is_written_only_on_the_event_loop():
+    # stats() iterates session.subscriptions on the loop; a write from
+    # an executor thread can make it raise "dictionary changed size
+    # during iteration".  Record every write of the published state
+    # through subscribe, a fanned-out settle, a poisoned settle's
+    # rebuild and unsubscribe.
+    from repro.graph.updates import EdgeInsertion
+
+    def is_poison(update) -> bool:
+        return isinstance(update, EdgeInsertion) and (update.source, update.target) == ("n1", "n5")
+
+    async def scenario():
+        loop_thread = threading.get_ident()
+        writes: list[tuple[str, int]] = []
+        service = StreamingUpdateService(
+            ServiceConfig(settle_retries=0, settle_backoff_seconds=0.0, **QUIET),
+            algorithm_factory=flaky_algorithm_factory(default_algorithm_factory, poison=is_poison),
+        )
+        await service.register("g", make_data())
+        session = service._session("g")
+        session.subscriptions = RecordingDict(writes, session.subscriptions)
+
+        class RecordingSession(type(session)):
+            def __setattr__(self, name, value) -> None:
+                if name in ("snapshot", "algorithm", "subscriptions"):
+                    writes.append((name, threading.get_ident()))
+                super().__setattr__(name, value)
+
+        session.__class__ = RecordingSession
+        publish = session.versions.publish
+
+        def recording_publish(snapshot):
+            writes.append(("versions", threading.get_ident()))
+            return publish(snapshot)
+
+        session.versions.publish = recording_publish
+
+        await service.subscribe("g", "q0", make_pattern())
+        await service.subscribe("g", "q1", make_pattern("B", "C"))
+        await service.submit("g", {"inserts": [edge_spec("n0", "n4")]})
+        await service.drain()
+        await service.submit(
+            "g", {"inserts": [edge_spec("n1", "n5"), edge_spec("n2", "n6")]}
+        )
+        await service.drain()
+        await service.unsubscribe("g", "q1")
+        stats = service.stats("g")
+        assert stats["rebuilds"] >= 1 and stats["quarantined"] == 1
+        assert stats["shared"]["fanout_amend_passes"] >= 2
+        assert set(service.subscription_docs("g")) == {"q0"}
+        assert {what for what, _ in writes} == {
+            "subscriptions[]",
+            "snapshot",
+            "algorithm",
+            "versions",
+        }
+        off_loop = [what for what, thread in writes if thread != loop_thread]
+        assert off_loop == [], off_loop
+        assert_matches_oracle(service, "g")
+        await service.close()
 
     run(scenario())
 
