@@ -82,13 +82,14 @@ from __future__ import annotations
 
 import asyncio
 import contextlib
+import dataclasses
 import functools
 import itertools
 import logging
 import time
 from collections import Counter
 from collections.abc import Iterable, Mapping
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Optional
 
@@ -739,7 +740,7 @@ class StreamingUpdateService:
         subscription.recompute(snapshot.data, snapshot.slen)
         states = dict(snapshot.subscriptions)
         states[subscription.pattern_id] = subscription.state(snapshot.data, snapshot.slen)
-        return replace(snapshot, subscriptions=states)
+        return dataclasses.replace(snapshot, subscriptions=states)
 
     async def unsubscribe(self, key: str, pattern_id: str) -> bool:
         """Detach a standing pattern; ``True`` when it was subscribed.
@@ -775,7 +776,7 @@ class StreamingUpdateService:
         }
         self._commit(
             session,
-            replace(session.snapshot, subscriptions=states),
+            dataclasses.replace(session.snapshot, subscriptions=states),
             unsubscribed=pattern_id,
         )
         return True
@@ -1336,7 +1337,7 @@ class StreamingUpdateService:
         """
         loop = asyncio.get_running_loop()
         try:
-            events, snapshot, publish_started = await loop.run_in_executor(
+            passes, events, snapshot, publish_started = await loop.run_in_executor(
                 None, self._settle_step, session, batch
             )
         except Exception:
@@ -1352,8 +1353,8 @@ class StreamingUpdateService:
         session.history.record(batch, snapshot.version)
         session.publish_seconds += time.perf_counter() - publish_started
         session.settles += 1
-        session.maintenance_passes += 1
-        session.slen_update_passes += 1
+        session.maintenance_passes += passes
+        session.slen_update_passes += passes
         if session.recovery_pending > 0:
             # The batch drained recovery backlog (it may mix replayed
             # and freshly-live deltas; provenance is per-settle, not
@@ -1367,23 +1368,25 @@ class StreamingUpdateService:
 
     def _settle_step(
         self, session: _GraphSession, batch: UpdateBatch
-    ) -> tuple[list[SubscriptionEvent], GraphSnapshot, float]:
+    ) -> tuple[int, list[SubscriptionEvent], GraphSnapshot, float]:
         """Executor-side: one whole settle attempt, committing nothing.
 
         Runs the engine pass and fan-out (:meth:`_execute_settle`),
         then the snapshot build (:meth:`_settled_snapshot`); the
         ``mid-settle`` crash point falls between them.  Returns the
-        fan-out events, the snapshot and the ``perf_counter`` time the
-        build started (publish time runs from there to the commit).
+        engine pass count and fan-out events of
+        :meth:`_execute_settle`, the snapshot and the ``perf_counter``
+        time the build started (publish time runs from there to the
+        commit).
         """
-        events = self._execute_settle(session, batch)
+        passes, events = self._execute_settle(session, batch)
         self._faults.hit(MID_SETTLE)
         publish_started = time.perf_counter()
-        return events, self._settled_snapshot(session, events), publish_started
+        return passes, events, self._settled_snapshot(session, events), publish_started
 
     def _execute_settle(
         self, session: _GraphSession, batch: UpdateBatch
-    ) -> list[SubscriptionEvent]:
+    ) -> tuple[int, list[SubscriptionEvent]]:
         """Executor-side settle body: shared maintenance, then fan-out.
 
         The pattern-independent work — applying the batch, maintaining
@@ -1396,11 +1399,16 @@ class StreamingUpdateService:
         the filter clears republishes its previous state unchanged —
         the skip is provably lossless, see
         :func:`~repro.matching.shared.delta_touches_pattern`.
+
+        Returns the number of engine passes it ran, counted here where
+        they run (the loop adds it to the shared-pass counters when the
+        settle commits), and the fan-out events.
         """
         algorithm = session.algorithm
         algorithm.subsequent_query(batch)
+        passes = 1
         if not session.subscriptions:
-            return []
+            return passes, []
         # The shared delta carries the *maintained* (possibly compiled)
         # update stream — same net effect as the raw batch.  The live
         # state is borrowed, not copied: settles are serialized.
@@ -1423,7 +1431,7 @@ class StreamingUpdateService:
             )
             state = subscription.state(data, slen)
             events.append(SubscriptionEvent(subscription, state, prev_state, amended=True))
-        return events
+        return passes, events
 
     def _notify(
         self,

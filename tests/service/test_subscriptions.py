@@ -216,6 +216,42 @@ def test_32_patterns_one_maintenance_pass_per_settle():
     run(scenario())
 
 
+def test_shared_pass_counters_count_engine_calls():
+    """The shared-pass counters track real engine calls, not settles."""
+    calls = []
+
+    def counting_factory(data, config):
+        algorithm = default_algorithm_factory(data, config)
+        inner = algorithm.subsequent_query
+
+        def counted(batch):
+            calls.append(len(batch))
+            return inner(batch)
+
+        algorithm.subsequent_query = counted
+        return algorithm
+
+    async def scenario():
+        service = StreamingUpdateService(
+            ServiceConfig(**QUIET), algorithm_factory=counting_factory
+        )
+        await service.register("g", make_data(15))
+        for position, pattern in enumerate(diverse_patterns(16, seed=5)):
+            await service.subscribe("g", f"q{position}", pattern)
+        for source, target in [("n0", "n4"), ("n1", "n5"), ("n2", "n7")]:
+            await service.submit("g", {"inserts": [edge_spec(source, target)]})
+            await service.drain()
+
+        stats = service.stats("g")
+        assert stats["settles"] == 3
+        assert len(calls) == 3
+        assert stats["shared"]["maintenance_passes"] == len(calls)
+        assert stats["shared"]["slen_update_passes"] == len(calls)
+        await service.close()
+
+    run(scenario())
+
+
 def test_label_filter_skips_untouched_patterns():
     async def scenario():
         service = StreamingUpdateService(ServiceConfig(**QUIET))
