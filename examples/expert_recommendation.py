@@ -13,6 +13,8 @@ Run with:  python examples/expert_recommendation.py
 
 from __future__ import annotations
 
+import time
+
 from repro.algorithms import EHGPNM, IncGPNM, UAGPNM
 from repro.matching.gpnm import gpnm_query
 from repro.spl.matrix import SLenMatrix
@@ -60,15 +62,19 @@ def main() -> None:
     baseline = None
     for name, factory in METHODS:
         engine = factory(pattern, data, precomputed_slen=slen, precomputed_relation=iquery)
+        started = time.perf_counter()
         outcome = engine.subsequent_query(batch)
-        stats = outcome.stats
+        # Reading the counter builds the deferred elimination analysis;
+        # time it with the query, as the paper does.
+        eliminated = outcome.stats.eliminated_updates
+        elapsed = time.perf_counter() - started
         if baseline is None:
             baseline = outcome.result
         else:
             assert outcome.result == baseline, "methods disagree on the matching result"
         print(
-            f"{name:15s} {stats.elapsed_seconds * 1000:10.1f} "
-            f"{stats.refinement_passes:7d} {stats.eliminated_updates:11d}"
+            f"{name:15s} {elapsed * 1000:10.1f} "
+            f"{outcome.stats.refinement_passes:7d} {eliminated:11d}"
         )
     print("\nAll four methods returned identical matching results.")
 

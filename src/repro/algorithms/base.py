@@ -14,7 +14,7 @@ from __future__ import annotations
 import abc
 import time
 from dataclasses import dataclass, field
-from typing import Iterable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 from repro.batching.coalesce import DEFAULT_COALESCE_MIN_BATCH, coalesce_slen
 from repro.batching.compiler import CompiledBatch, compile_batch
@@ -29,6 +29,7 @@ from repro.batching.planner import (
     PlanReport,
     plan_batch,
 )
+from repro.elimination.detector import EliminationAnalysis
 from repro.elimination.eh_tree import EHTree
 from repro.graph.digraph import DataGraph
 from repro.graph.pattern import PatternGraph
@@ -46,6 +47,48 @@ from repro.partition.partitioned_spl import (
 from repro.spl.incremental import update_slen
 from repro.spl.matrix import SLenMatrix
 
+
+class DeferredElimination:
+    """One batch's elimination analysis and EH-Tree, built on first read.
+
+    ``detect`` runs the DER passes over the candidate / affected sets
+    (and frozen ``SLen``) captured while the batch was processed; the
+    EH-Tree is then built over ``updates``.  Both are built at most once,
+    after which the captured inputs are released.  Nothing here refers
+    back to the stats or result holding it, so dropping them frees the
+    captured sets at once.
+    """
+
+    __slots__ = ("_detect", "_updates", "_analysis", "_tree")
+
+    def __init__(
+        self, detect: Callable[[], EliminationAnalysis], updates: Sequence[Update]
+    ) -> None:
+        self._detect: Optional[Callable[[], EliminationAnalysis]] = detect
+        self._updates: Optional[Sequence[Update]] = updates
+        self._analysis: Optional[EliminationAnalysis] = None
+        self._tree: Optional[EHTree] = None
+
+    @property
+    def analysis(self) -> EliminationAnalysis:
+        """The DER-I/II/III analysis (built on first access)."""
+        self._build()
+        return self._analysis
+
+    @property
+    def tree(self) -> EHTree:
+        """The EH-Tree over the batch (built on first access)."""
+        self._build()
+        return self._tree
+
+    def _build(self) -> None:
+        if self._tree is not None:
+            return
+        self._analysis = self._detect()
+        self._tree = EHTree.build(self._analysis, self._updates)
+        self._detect = self._updates = None
+
+
 @dataclass
 class QueryStats:
     """Work accounting for one subsequent query.
@@ -53,7 +96,9 @@ class QueryStats:
     Attributes
     ----------
     elapsed_seconds:
-        Wall-clock time of the whole ``subsequent_query`` call.
+        Wall-clock time of the whole ``subsequent_query`` call.  The
+        elimination analysis is not part of it: it is built when first
+        read (see ``elimination``).
     maintenance_seconds:
         Wall-clock time of the batch's ``SLen`` maintenance alone (graph
         application + maintenance kernels) — the quantity the execution
@@ -70,11 +115,6 @@ class QueryStats:
         batch.
     recomputed_rows:
         How many whole BFS rows were recomputed during maintenance.
-    eliminated_updates:
-        ``|Ue|`` — updates subsumed by the EH-Tree (zero for algorithms
-        that do not build one).
-    elimination_relations:
-        Total elimination relationships detected.
     coalesced_batches:
         How many coalesced maintenance passes were run (coalescing
         strategies only).
@@ -88,6 +128,11 @@ class QueryStats:
         INC-GPNM — per-update by definition — a coalescing decision
         only canonicalises the stream; maintenance itself stays
         per-update regardless of the recorded plan.
+    elimination:
+        The batch's :class:`DeferredElimination` (``None`` for
+        algorithms that build no EH-Tree).  Reading
+        :attr:`eliminated_updates`, :attr:`elimination_relations`,
+        :meth:`as_dict` or :attr:`SubsequentResult.eh_tree` builds it.
     """
 
     elapsed_seconds: float = 0.0
@@ -96,11 +141,24 @@ class QueryStats:
     refinement_passes: int = 0
     slen_updates: int = 0
     recomputed_rows: int = 0
-    eliminated_updates: int = 0
-    elimination_relations: int = 0
     coalesced_batches: int = 0
     compiled_away_updates: int = 0
     planned_strategy: str = ""
+    elimination: Optional[DeferredElimination] = field(default=None, repr=False, compare=False)
+
+    @property
+    def eliminated_updates(self) -> int:
+        """``|Ue|`` — updates subsumed by the EH-Tree (zero without one)."""
+        if self.elimination is None:
+            return 0
+        return self.elimination.tree.number_of_eliminated
+
+    @property
+    def elimination_relations(self) -> int:
+        """Total elimination relationships detected (zero without a tree)."""
+        if self.elimination is None:
+            return 0
+        return len(self.elimination.analysis.relations)
 
     def as_dict(self) -> dict[str, float | str]:
         """Plain-dict copy (used by the experiment reports)."""
@@ -125,10 +183,16 @@ class SubsequentResult:
 
     result: MatchResult
     stats: QueryStats
-    eh_tree: Optional[EHTree] = None
     #: The execution planner's decision for the batch (``None`` for
     #: algorithms that do not plan, e.g. the from-scratch oracle).
     plan: Optional[PlanReport] = None
+
+    @property
+    def eh_tree(self) -> Optional[EHTree]:
+        """The batch's EH-Tree, built on first access (``None`` for
+        algorithms that build none)."""
+        elimination = self.stats.elimination
+        return None if elimination is None else elimination.tree
 
 
 class GPNMAlgorithm(abc.ABC):
@@ -362,7 +426,7 @@ class GPNMAlgorithm(abc.ABC):
         self._last_affected_sets = ()
         self._last_maintained_updates = ()
         started = time.perf_counter()
-        relation, eh_tree = self._process_batch(batch, stats)
+        relation = self._process_batch(batch, stats)
         stats.elapsed_seconds = time.perf_counter() - started
         self._last_shared_delta = shared_delta_from_batch(
             self._last_maintained_updates, self._last_affected_sets, self._data
@@ -371,7 +435,6 @@ class GPNMAlgorithm(abc.ABC):
         return SubsequentResult(
             result=MatchResult(relation.as_dict(), enforce_totality=self._enforce_totality),
             stats=stats,
-            eh_tree=eh_tree,
             plan=self._last_plan,
         )
 
@@ -379,10 +442,12 @@ class GPNMAlgorithm(abc.ABC):
     # Hooks for subclasses
     # ------------------------------------------------------------------
     @abc.abstractmethod
-    def _process_batch(
-        self, batch: UpdateBatch, stats: QueryStats
-    ) -> tuple[MatchResult, Optional[EHTree]]:
-        """Apply the batch, update internal state and return the new relation."""
+    def _process_batch(self, batch: UpdateBatch, stats: QueryStats) -> MatchResult:
+        """Apply the batch, update internal state and return the new relation.
+
+        Algorithms with an elimination analysis leave it in
+        ``stats.elimination`` for later reads.
+        """
 
     # ------------------------------------------------------------------
     # Shared helpers

@@ -5,16 +5,18 @@ graph (Type II), indexes them in an EH-Tree and amends the matching
 result once for the whole set of data updates.  Pattern updates are not
 analysed: each one still triggers its own incremental GPNM procedure,
 which is the gap UA-GPNM closes.
+
+As in UA-GPNM, the Type II analysis and the EH-Tree are built on first
+read of ``SubsequentResult.eh_tree`` or the elimination counters, from
+the affected sets the data side keeps.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from typing import Optional
 
-from repro.algorithms.base import GPNMAlgorithm, QueryStats
+from repro.algorithms.base import DeferredElimination, GPNMAlgorithm, QueryStats
 from repro.elimination.detector import EliminationAnalysis, detect_type_ii
-from repro.elimination.eh_tree import EHTree
 from repro.graph.updates import UpdateBatch
 from repro.matching.gpnm import MatchResult
 
@@ -24,22 +26,21 @@ class EHGPNM(GPNMAlgorithm):
 
     name = "EH-GPNM"
 
-    def _process_batch(
-        self, batch: UpdateBatch, stats: QueryStats
-    ) -> tuple[MatchResult, Optional[EHTree]]:
+    def _process_batch(self, batch: UpdateBatch, stats: QueryStats) -> MatchResult:
         data_updates = batch.data_updates()
         pattern_updates = batch.pattern_updates()
 
-        # Data side: maintain SLen, detect Type II elimination, then amend
-        # once for the whole data batch.  The execution planner routes the
-        # data stream: on a coalescing route it is first compiled to its
-        # net effect and maintained by one coalesced pass; the pattern
-        # side keeps its per-update procedure, which is what defines
-        # EH-GPNM.  (EH-GPNM runs without the label partition, so a
-        # forced "partitioned" plan degrades to "coalesced".)  The plan
-        # sees the full batch length, like every other algorithm, so the
-        # min_batch crossover rule routes the same workload identically
-        # across methods.
+        # Data side: maintain SLen, then amend once for the whole data
+        # batch; the Type II analysis over its affected sets is deferred
+        # until read (it never reads SLen, so nothing is frozen).  The
+        # execution planner routes the data stream: on a coalescing route
+        # it is first compiled to its net effect and maintained by one
+        # coalesced pass; the pattern side keeps its per-update
+        # procedure, which is what defines EH-GPNM.  (EH-GPNM runs without
+        # the label partition, so a forced "partitioned" plan degrades to
+        # "coalesced".)  The plan sees the full batch length, like every
+        # other algorithm, so the min_batch crossover rule routes the same
+        # workload identically across methods.
         plan = self._plan_data_batch(data_updates, len(batch))
         stats.planned_strategy = plan.strategy
         if plan.strategy != "per-update":
@@ -48,13 +49,12 @@ class EHGPNM(GPNMAlgorithm):
             plan = dataclasses.replace(plan, compilation=compiled.report)
             self._last_plan = plan
         affected_sets = self._execute_data_plan(data_updates, stats, plan)
-        relations = detect_type_ii(affected_sets)
-        analysis = EliminationAnalysis(
-            candidate_sets=[], affected_sets=affected_sets, relations=relations
+        stats.elimination = DeferredElimination(
+            lambda: EliminationAnalysis(
+                affected_sets=affected_sets, relations=detect_type_ii(affected_sets)
+            ),
+            data_updates,
         )
-        eh_tree = EHTree.build(analysis, data_updates)
-        stats.elimination_relations += len(relations)
-        stats.eliminated_updates += eh_tree.number_of_eliminated
         if data_updates:
             self._amend(data_updates, stats)
 
@@ -63,4 +63,4 @@ class EHGPNM(GPNMAlgorithm):
         for update in pattern_updates:
             self._apply_pattern_update(update, stats)
             self._amend([update], stats)
-        return self._relation, eh_tree
+        return self._relation

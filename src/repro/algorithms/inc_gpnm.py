@@ -12,10 +12,8 @@ UA-GPNM's elimination analysis removes.
 from __future__ import annotations
 
 import dataclasses
-from typing import Optional
 
 from repro.algorithms.base import GPNMAlgorithm, QueryStats
-from repro.elimination.eh_tree import EHTree
 from repro.graph.updates import GraphKind, UpdateBatch
 from repro.matching.gpnm import MatchResult
 
@@ -25,9 +23,7 @@ class IncGPNM(GPNMAlgorithm):
 
     name = "INC-GPNM"
 
-    def _process_batch(
-        self, batch: UpdateBatch, stats: QueryStats
-    ) -> tuple[MatchResult, Optional[EHTree]]:
+    def _process_batch(self, batch: UpdateBatch, stats: QueryStats) -> MatchResult:
         # INC-GPNM is per-update by definition, so a coalescing plan only
         # canonicalises the stream: duplicates, inverse pairs and
         # subsumed edge operations are compiled away before the
@@ -51,4 +47,4 @@ class IncGPNM(GPNMAlgorithm):
             # One incremental GPNM procedure per update: amend the current
             # matching result for this update alone.
             self._amend([update], stats)
-        return self._relation, None
+        return self._relation

@@ -10,10 +10,8 @@ against which every incremental algorithm is validated.
 
 from __future__ import annotations
 
-from typing import Optional
 
 from repro.algorithms.base import GPNMAlgorithm, QueryStats
-from repro.elimination.eh_tree import EHTree
 from repro.graph.updates import UpdateBatch
 from repro.matching.bgs import bounded_simulation
 from repro.matching.gpnm import MatchResult
@@ -27,9 +25,7 @@ class BatchGPNM(GPNMAlgorithm):
 
     name = "Scratch-GPNM"
 
-    def _process_batch(
-        self, batch: UpdateBatch, stats: QueryStats
-    ) -> tuple[MatchResult, Optional[EHTree]]:
+    def _process_batch(self, batch: UpdateBatch, stats: QueryStats) -> MatchResult:
         batch.apply_all(self._data, self._pattern)
         if self._use_partition and self._slen.horizon == float("inf"):
             partition = LabelPartition.from_graph(self._data)
@@ -41,4 +37,4 @@ class BatchGPNM(GPNMAlgorithm):
         stats.recomputed_rows += self._data.number_of_nodes
         relation = bounded_simulation(self._pattern, self._data, self._slen)
         stats.refinement_passes += 1
-        return MatchResult(relation, enforce_totality=False), None
+        return MatchResult(relation, enforce_totality=False)

@@ -6,13 +6,18 @@ UA-GPNM processes a subsequent query in three steps:
    (using the label partition of Section V to recompute affected rows
    when ``use_partition`` is on), collecting the affected sets
    ``Aff_N(UDi)``;
-2. compute the candidate sets ``Can_N(UPi)`` of the pattern updates, run
-   DER-I / DER-II / DER-III and index the detected elimination
-   relationships in the EH-Tree;
-3. amend the matching result with a *single* incremental GPNM pass that
-   covers the uneliminated updates — the eliminated ones (``|Ue|`` in the
-   complexity analysis) are exactly the per-update passes INC-GPNM and
-   EH-GPNM would have spent on work subsumed by their EH-Tree ancestors.
+2. compute the candidate sets ``Can_N(UPi)`` of the pattern updates, from
+   which DER-I / DER-II / DER-III and the EH-Tree index the elimination
+   relationships;
+3. amend the matching result with a *single* incremental GPNM pass — the
+   per-update passes INC-GPNM would spend on the eliminated updates
+   (``|Ue|`` in the complexity analysis) are never run.
+
+The amend is seeded from the whole (compiled) batch, which keeps the
+answer exact however much was eliminated, so the query never reads the
+EH-Tree: the analysis and the tree are built from the kept sets on first
+read of ``SubsequentResult.eh_tree`` or of the ``QueryStats`` elimination
+counters (:class:`~repro.algorithms.base.DeferredElimination`).
 
 ``UAGPNM(use_partition=False)`` is the UA-GPNM-NoPar baseline of the
 experiments: identical elimination machinery, but plain per-source BFS
@@ -28,15 +33,13 @@ no partition is kept between batches.
 from __future__ import annotations
 
 import dataclasses
-from typing import Optional
 
-from repro.algorithms.base import GPNMAlgorithm, QueryStats
+from repro.algorithms.base import DeferredElimination, GPNMAlgorithm, QueryStats
 from repro.elimination.detector import detect_all
-from repro.elimination.eh_tree import EHTree
 from repro.graph.digraph import DataGraph
 from repro.graph.errors import GraphError
 from repro.graph.pattern import PatternGraph
-from repro.graph.updates import UpdateBatch
+from repro.graph.updates import EdgeInsertion, UpdateBatch
 from repro.matching.candidates import CandidateSet, candidate_set
 from repro.matching.gpnm import MatchResult
 
@@ -57,9 +60,7 @@ class UAGPNM(GPNMAlgorithm):
         if not use_partition:
             self.name = "UA-GPNM-NoPar"
 
-    def _process_batch(
-        self, batch: UpdateBatch, stats: QueryStats
-    ) -> tuple[MatchResult, Optional[EHTree]]:
+    def _process_batch(self, batch: UpdateBatch, stats: QueryStats) -> MatchResult:
         # Step 0: the execution planner routes the batch to per-update,
         # coalesced or partitioned-coalesced maintenance (one decision
         # point; the old ``coalesce_min_batch`` guard is a planner rule).
@@ -102,24 +103,31 @@ class UAGPNM(GPNMAlgorithm):
         for update in pattern_updates:
             update.apply(self._pattern)
 
-        # Step 4: detect all three elimination relationship types and build
-        # the EH-Tree over the whole (compiled) batch.
-        analysis = detect_all(candidate_sets, affected_sets, self._slen)
-        eh_tree = EHTree.build(analysis, list(working))
-        stats.elimination_relations += len(analysis.relations)
-        stats.eliminated_updates += eh_tree.number_of_eliminated
+        # Step 4: DER-I/II/III and the EH-Tree over the whole (compiled)
+        # batch, deferred until something reads them.  DER-III reads the
+        # post-batch SLen, which the next batch mutates in place, so it is
+        # frozen here -- only when the batch holds a pattern edge
+        # insertion, DER-III's only trigger (no other relation reads SLen).
+        slen_after = (
+            self._slen.fork()
+            if any(isinstance(update, EdgeInsertion) for update in pattern_updates)
+            else None
+        )
+        stats.elimination = DeferredElimination(
+            lambda: detect_all(candidate_sets, affected_sets, slen_after), list(working)
+        )
 
-        # Step 5: a single incremental GPNM pass for the uneliminated
-        # updates delivers SQuery.  (The pass is seeded from the whole
-        # batch's growth analysis so the result is exact regardless of how
-        # aggressive the elimination was; with coalescing on it is seeded
-        # from the net delta only, which is what makes the latency scale
-        # with the net batch size.)
+        # Step 5: a single incremental GPNM pass over the whole batch
+        # delivers SQuery.  (It is seeded from the whole batch's growth
+        # analysis, not just the EH-Tree roots, so the result is exact
+        # regardless of how aggressive the elimination was; with
+        # coalescing on it is seeded from the net delta only, which is
+        # what makes the latency scale with the net batch size.)
         # (If the whole batch compiled away, the graphs are unchanged and
         # the previous relation is already the answer.)
         if len(working):
             self._amend(list(working), stats)
-        return self._relation, eh_tree
+        return self._relation
 
 
 def make_ua_gpnm(pattern: PatternGraph, data: DataGraph, **kwargs) -> UAGPNM:

@@ -74,7 +74,7 @@ class CoalescedMaintenance:
     per_update:
         One attribution delta per input update (aligned by index); the
         source of the per-update ``Aff_N`` sets that DER-II/DER-III and
-        the EH-Tree consume.
+        the EH-Tree consume when the elimination analysis is read.
     settled_sources:
         How many sources needed an affected-region recompute (each one
         runs exactly once, regardless of how many deletions touched it).

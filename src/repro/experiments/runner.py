@@ -11,10 +11,16 @@ For every cell (dataset, pattern size, ΔG scale, repetition) the runner
    from-scratch oracle.
 
 Only the subsequent query is timed, matching the paper's measurement of
-query processing time given an already-answered initial query.
+query processing time given an already-answered initial query.  That
+time includes building the elimination analysis and EH-Tree, which the
+engines defer until first read: the runner builds them right after the
+query and adds their build time, as the paper charges UA-GPNM and
+EH-GPNM for their elimination work.
 """
 
 from __future__ import annotations
+
+import time
 
 from collections.abc import Callable, Iterator
 from dataclasses import dataclass
@@ -152,6 +158,9 @@ def run_cell(
             dense_block_size=dense_block_size,
         )
         outcome = algorithm.subsequent_query(batch)
+        started = time.perf_counter()
+        outcome.eh_tree  # builds the deferred elimination analysis and EH-Tree
+        elapsed_seconds = outcome.stats.elapsed_seconds + time.perf_counter() - started
         matches_oracle = None
         if oracle_result is not None:
             matches_oracle = outcome.result == oracle_result
@@ -163,7 +172,7 @@ def run_cell(
                 delta_scale=delta_scale,
                 repetition=repetition,
                 method=method,
-                elapsed_seconds=stats.elapsed_seconds,
+                elapsed_seconds=elapsed_seconds,
                 refinement_passes=stats.refinement_passes,
                 slen_updates=stats.slen_updates,
                 recomputed_rows=stats.recomputed_rows,

@@ -1,5 +1,7 @@
 """Experiment harness: config presets, runner, table/figure aggregation, CLI."""
 
+import time
+
 import pytest
 
 from repro.cli import main as cli_main
@@ -18,7 +20,9 @@ from repro.experiments.report import (
     render_table_xiii,
     render_table_xiv,
 )
-from repro.experiments.runner import MeasurementRecord, run_experiment
+from repro import paper_example
+from repro.elimination.eh_tree import EHTree
+from repro.experiments.runner import MeasurementRecord, run_cell, run_experiment
 from repro.experiments.tables import (
     method_columns,
     reduction_percentages,
@@ -74,6 +78,27 @@ class TestRunner:
         inc = [r for r in tiny_records if r.method == "INC-GPNM"]
         assert all(record.refinement_passes == 1 for record in ua)
         assert all(record.refinement_passes > 1 for record in inc)
+
+    def test_elapsed_covers_the_deferred_elimination_analysis(self, monkeypatch):
+        # The engines build the EH-Tree on first read; the runner must read
+        # it inside its timed window, as the paper times the analysis.
+        delay = 0.25
+        build = EHTree.__dict__["build"].__func__
+
+        def slow_build(cls, *args, **kwargs):
+            time.sleep(delay)
+            return build(cls, *args, **kwargs)
+
+        monkeypatch.setattr(EHTree, "build", classmethod(slow_build))
+        records = run_cell(
+            paper_example.figure1_data_graph(),
+            paper_example.figure1_pattern_graph(),
+            (2, 4),
+            ("UA-GPNM", "EH-GPNM"),
+            seed=3,
+        )
+        assert [record.method for record in records] == ["UA-GPNM", "EH-GPNM"]
+        assert all(record.elapsed_seconds >= delay for record in records)
 
 
 class TestTables:

@@ -92,7 +92,8 @@ def test_capture_snapshots_settled_state_and_buffers_the_tail(tmp_path):
         await service.drain()
         await service.close()
 
-        lines = [json.loads(line) for line in open(info["path"])]
+        with open(info["path"]) as handle:
+            lines = [json.loads(line) for line in handle]
         assert lines[0]["t"] == "snapshot"
         assert lines[0]["seq"] == 0
         assert lines[0]["version"] == 0
@@ -177,13 +178,15 @@ def test_stopped_capture_leaves_the_file_immutable(tmp_path):
             await service.submit("g", payload)
         await service.drain()
         info = await service.stop_capture("g")
-        frozen = open(info["path"], "rb").read()
+        with open(info["path"], "rb") as handle:
+            frozen = handle.read()
         # Post-stop traffic is accepted but no longer journaled.
         for payload in stream[3:]:
             receipt = await service.submit("g", payload)
             assert receipt.rejected == 0
         await service.drain()
-        assert open(info["path"], "rb").read() == frozen
+        with open(info["path"], "rb") as handle:
+            assert handle.read() == frozen
         assert info["last_seq"] == 3
         assert info["checkpoint_seq"] == 3
         await service.close()

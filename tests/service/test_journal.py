@@ -43,6 +43,15 @@ def make_graph(num_nodes: int = 6) -> DataGraph:
     return data
 
 
+def recover(path):
+    """Open the journal at ``path`` for recovery, then close its handle."""
+    journal = GraphJournal(path)
+    try:
+        return journal.open()
+    finally:
+        journal.close()
+
+
 def make_pattern() -> PatternGraph:
     pattern = PatternGraph()
     pattern.add_node("p0", "A")
@@ -198,7 +207,7 @@ def test_duplicate_seq_records_are_dropped_once(tmp_path):
     journal.close()
     line = path.read_text().splitlines()[0]
     path.write_text(line + "\n" + line + "\n")  # the same seq twice
-    state = GraphJournal(path).open()
+    state = recover(path)
     assert [seq for seq, _ in state.tail] == [1]
     assert state.dropped_duplicates == 1
 
@@ -214,7 +223,7 @@ def test_checkpointed_deltas_stay_in_the_replay_tail(tmp_path):
     journal.checkpoint(1, version=1, batch_id=1)
     journal.append_delta([insert_data_edge("c", "d")])
     journal.close()
-    state = GraphJournal(path).open()
+    state = recover(path)
     assert [seq for seq, _ in state.tail] == [1, 2]
     assert state.checkpoint_seq == 1
 
@@ -336,7 +345,7 @@ def test_unterminated_but_valid_final_record_is_dropped_as_torn(tmp_path):
     # The repaired file plus a fresh append must recover both records.
     assert reopened.append_delta([insert_data_edge("e", "f")]) == 2
     reopened.close()
-    final = GraphJournal(path).open()
+    final = recover(path)
     assert [seq for seq, _ in final.tail] == [1, 2]
 
 
@@ -394,7 +403,7 @@ def test_recovery_and_replay_log_read_the_same_records(tmp_path):
     with open(path, "a") as handle:
         handle.write(first_delta + "\n")
 
-    state = GraphJournal(path).open()
+    state = recover(path)
     log = ReplayLog(path)
     assert state.base_graph == log.base_graph == make_graph()
     assert state.base_seq == log.base_seq == 3
@@ -426,7 +435,7 @@ def test_initialize_writes_a_replayable_snapshot_base(tmp_path):
     assert journal.append_delta([insert_data_edge("n0", "n2")]) == 8
     journal.checkpoint(8, version=4, batch_id=1)
     journal.close()
-    state = GraphJournal(path).open()
+    state = recover(path)
     assert state.base_graph == graph
     assert state.base_seq == 7
     assert state.checkpoint_version == 4
@@ -465,7 +474,7 @@ def test_compaction_rewrites_to_snapshot_plus_uncheckpointed_tail(tmp_path):
     assert [r["t"] for r in records] == ["snapshot", "delta"]
     assert records[0]["seq"] == 2 and records[1]["seq"] == 3
 
-    state = GraphJournal(path).open()
+    state = recover(path)
     assert state.base_graph == settled
     assert state.base_seq == 2
     assert [seq for seq, _ in state.tail] == [3]
@@ -481,7 +490,7 @@ def test_appends_continue_after_compaction(tmp_path):
     assert journal.append_delta([insert_data_edge("c", "d")]) == 2
     journal.checkpoint(2, version=2, batch_id=2)
     journal.close()
-    state = GraphJournal(path).open()
+    state = recover(path)
     assert state.last_seq == 2
     assert [seq for seq, _ in state.tail] == [2]
 
