@@ -14,15 +14,11 @@ social graph and times, on both backends,
   recompute;
 * **coalesced-mixed** — one compile + coalesced pass over a mixed batch.
 
-Two further sections cover the blocked dense layout:
-
-* **construction-frontier** — the bit-packed (``uint64`` words) vs the
-  boolean multi-source BFS frontier on the dense backend, per graph
-  size (the blocked rewrite's construction-speedup acceptance row);
-* **scaling** — a ≥10⁴-node axis on community-structured graphs with
-  the experiment harness's horizon: build time per backend plus the
-  blocked layout's memory accounting (occupied blocks and allocated
-  bytes vs the dense-full O(n²) baseline).
+A further **scaling** section covers the blocked dense layout: a
+≥10⁴-node axis on community-structured graphs with the experiment
+harness's horizon, giving build time per backend plus the blocked
+layout's memory accounting (occupied blocks and allocated bytes vs the
+dense-full O(n²) baseline).
 
 Every run cross-checks the maintained matrix against a from-scratch
 rebuild, so the speedups are for *identical* results.  Best-of-
@@ -34,10 +30,8 @@ maintenance at least 4x faster on the dense backend for graphs with
 >= 256 nodes (the blocked relax kernel measures at parity with PR 2's
 monolithic one — ~4.5-6x depending on machine state — so the bar sits
 below the noise floor of the sparse baseline, guarding against real
-regressions rather than load spikes), bit-packed construction at least
-2x faster than the boolean frontier at >= 512 nodes, and blocked
-memory strictly below the dense-full baseline on the >= 10⁴-node
-scaling rows.
+regressions rather than load spikes), and blocked memory strictly
+below the dense-full baseline on the >= 10⁴-node scaling rows.
 
 Run with::
 
@@ -145,18 +139,6 @@ def best_of(timer, *args) -> float:
     return min(timer(*args) for _ in range(ROUNDS))
 
 
-def time_dense_build(data, frontier_mode: str, horizon=None) -> float:
-    """Time one dense construction with the given BFS frontier mode."""
-    kwargs = {} if horizon is None else {"horizon": horizon}
-    started = time.perf_counter()
-    matrix = SLenMatrix(data.nodes(), backend="dense", **kwargs)
-    matrix.backend.frontier_mode = frontier_mode
-    matrix.backend.build(data)
-    elapsed = time.perf_counter() - started
-    assert matrix.number_of_nodes == data.number_of_nodes
-    return elapsed
-
-
 def scaling_row(num_nodes: int) -> dict:
     """One ≥10⁴-axis measurement: builds + blocked memory accounting."""
     data = generate_community_graph(num_nodes, SCALING_COMMUNITY, seed=23)
@@ -229,30 +211,6 @@ def main() -> int:
                 file=sys.stderr,
             )
     # ------------------------------------------------------------------
-    # Construction-frontier section: bit-packed vs boolean BFS frontier.
-    # ------------------------------------------------------------------
-    construction = []
-    for num_nodes in GRAPH_SIZES:
-        data, _pattern = build_instance(num_nodes)
-        boolean_seconds = best_of(time_dense_build, data, "boolean")
-        bitset_seconds = best_of(time_dense_build, data, "bitset")
-        speedup = round(boolean_seconds / bitset_seconds, 3) if bitset_seconds else None
-        construction.append(
-            {
-                "nodes": num_nodes,
-                "boolean_seconds": round(boolean_seconds, 6),
-                "bitset_seconds": round(bitset_seconds, 6),
-                "speedup": speedup,
-            }
-        )
-        print(
-            f"nodes={num_nodes:4d} kernel=build-frontier   "
-            f"boolean={boolean_seconds * 1e3:8.2f} ms  "
-            f"bitset={bitset_seconds * 1e3:8.2f} ms  speedup={speedup}x",
-            file=sys.stderr,
-        )
-
-    # ------------------------------------------------------------------
     # Scaling section: the ≥10⁴-node axis (one round; memory is exact).
     # ------------------------------------------------------------------
     scaling = []
@@ -275,7 +233,6 @@ def main() -> int:
         "horizon": "inf",
         "dense_block_size": DEFAULT_DENSE_BLOCK_SIZE,
         "results": results,
-        "construction_frontier": construction,
         "scaling": scaling,
     }
     OUTPUT.write_text(json.dumps(payload, indent=2) + "\n")
@@ -295,20 +252,7 @@ def main() -> int:
             file=sys.stderr,
         )
         return 1
-    # Acceptance bar 2: bit-packed construction >= 2x the boolean
-    # frontier (the pre-blocked dense build) at >= 512 nodes.
-    slow_construction = [
-        row
-        for row in construction
-        if row["nodes"] >= 512 and (row["speedup"] is None or row["speedup"] < 2.0)
-    ]
-    if slow_construction:
-        print(
-            f"FAIL: bit-packed construction speedup below 2x on {slow_construction}",
-            file=sys.stderr,
-        )
-        return 1
-    # Acceptance bar 3: blocked memory below the dense-full O(n²)
+    # Acceptance bar 2: blocked memory below the dense-full O(n²)
     # baseline on the >= 10⁴-node scaling rows.
     oversized = [
         row

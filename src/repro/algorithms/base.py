@@ -238,10 +238,6 @@ class GPNMAlgorithm(abc.ABC):
         ``SLen`` storage backend (``"sparse"`` / ``"dense"`` / ``"auto"``,
         see :mod:`repro.spl.backend`).  ``None`` inherits the backend of
         ``precomputed_slen`` when given, otherwise ``"sparse"``.
-    dense_block_size:
-        Block edge of the blocked dense layout (``None`` = the
-        :data:`repro.spl.dense.DEFAULT_DENSE_BLOCK_SIZE` default);
-        ignored by the sparse backend.
     cost_model:
         The planner's :class:`~repro.batching.planner.CostModel`
         (``None`` = the shipped
@@ -261,7 +257,6 @@ class GPNMAlgorithm(abc.ABC):
         precomputed_relation: Optional[MatchResult] = None,
         coalesce_min_batch: int = DEFAULT_COALESCE_MIN_BATCH,
         slen_backend: Optional[str] = None,
-        dense_block_size: Optional[int] = None,
         batch_plan: Optional[str] = None,
         cost_model: Optional[CostModel] = None,
     ) -> None:
@@ -292,20 +287,16 @@ class GPNMAlgorithm(abc.ABC):
             if slen_backend is None:
                 self._slen = precomputed_slen.copy()
             else:
-                self._slen = precomputed_slen.to_backend(
-                    slen_backend, dense_block_size=dense_block_size
-                )
+                self._slen = precomputed_slen.to_backend(slen_backend)
         elif use_partition:
             self._slen = build_slen_partitioned(
                 self._data,
                 backend=slen_backend if slen_backend is not None else "sparse",
-                dense_block_size=dense_block_size,
             )
         else:
             self._slen = SLenMatrix.from_graph(
                 self._data,
                 backend=slen_backend if slen_backend is not None else "sparse",
-                dense_block_size=dense_block_size,
             )
         if precomputed_relation is not None:
             self._relation = MatchResult(precomputed_relation.as_dict(), enforce_totality=False)

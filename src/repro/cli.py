@@ -41,7 +41,7 @@ import argparse
 import dataclasses
 import sys
 from collections.abc import Sequence
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 from repro.experiments.config import ExperimentConfig, full_config, quick_config, tiny_config
 from repro.experiments.report import (
@@ -53,6 +53,9 @@ from repro.experiments.report import (
 )
 from repro.experiments.runner import run_experiment
 from repro.workloads.datasets import dataset_names
+
+if TYPE_CHECKING:
+    from repro.service import ServiceConfig
 
 
 def _config_for(preset: str) -> ExperimentConfig:
@@ -118,18 +121,6 @@ def _add_common_options(parser: argparse.ArgumentParser, suppress: bool) -> None
             "above a node-count threshold); default: sparse"
         ),
     )
-    parser.add_argument(
-        "--dense-block-size",
-        type=int,
-        default=default(None),
-        metavar="N",
-        help=(
-            "block edge of the blocked dense SLen layout (default 512); "
-            "blocks are allocated lazily and all-INF blocks are elided, "
-            "so memory scales with occupied blocks instead of |V|^2; "
-            "ignored by the sparse backend"
-        ),
-    )
 
 
 #: ``--help`` epilog: how the execution planner selects a strategy.
@@ -164,14 +155,13 @@ batch plan strategy selection (--batch-plan):
   sparse and (blocked) dense maintenance differently.  The chosen
   strategy is recorded per run (PlanReport).
 
-SLen backend selection (--slen-backend / --dense-block-size):
+SLen backend selection (--slen-backend):
   sparse keeps only finite entries in dicts (pure-Python kernels);
-  dense stores a blocked int32 grid with vectorized kernels — blocks
-  (--dense-block-size, default 512) are allocated lazily and all-INF
-  blocks are elided, so memory scales with occupied blocks and the
-  dense backend stays usable past 10^4 nodes.  auto picks dense at or
-  above 256 nodes.  See the README's "choosing a backend" guide and
-  BENCH_slen_backend.json.
+  dense stores a blocked int32 grid with vectorized kernels — 512-wide
+  blocks are allocated lazily and all-INF blocks are elided, so memory
+  scales with occupied blocks and the dense backend stays usable past
+  10^4 nodes.  auto picks dense at or above 256 nodes.  See the
+  README's "choosing a backend" guide and BENCH_slen_backend.json.
 
 multi-pattern subscription serving (serve --patterns):
   One served graph can hold many standing patterns.  Each settle runs
@@ -382,6 +372,31 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _service_config(args: argparse.Namespace, config: ExperimentConfig) -> ServiceConfig:
+    """The ``serve`` flags as a :class:`~repro.service.ServiceConfig`.
+
+    Unset flags keep the ``ServiceConfig`` defaults; the plan, crossover
+    and backend come from the global options in ``config``.
+    """
+    from repro.batching.planner import STRATEGY_AUTO
+    from repro.service import ServiceConfig
+
+    flags = {
+        "deadline_seconds": args.deadline,
+        "max_buffer": args.max_buffer,
+        "journal_dir": args.journal_dir,
+        "snapshot_history": args.snapshot_history,
+        "max_subscriptions": args.max_subscriptions,
+    }
+    return ServiceConfig(
+        coalesce_min_batch=config.coalesce_min_batch,
+        batch_plan=config.batch_plan or STRATEGY_AUTO,
+        slen_backend=config.slen_backend,
+        push_notifications=not args.no_push,
+        **{name: value for name, value in flags.items() if value is not None},
+    )
+
+
 def _run_serve(args: argparse.Namespace, config: ExperimentConfig) -> int:
     """The ``serve`` subcommand: register the dataset and serve forever.
 
@@ -397,7 +412,6 @@ def _run_serve(args: argparse.Namespace, config: ExperimentConfig) -> int:
 
     from repro.service import (
         DEFAULT_PATTERN_ID,
-        ServiceConfig,
         ServiceServer,
         StreamingUpdateService,
         parse_pattern_set,
@@ -405,18 +419,7 @@ def _run_serve(args: argparse.Namespace, config: ExperimentConfig) -> int:
     from repro.workloads.datasets import load_dataset
     from repro.workloads.pattern_gen import pattern_for_dataset
 
-    if args.deadline is not None:
-        config = dataclasses.replace(config, service_deadline_seconds=args.deadline)
-    if args.max_buffer is not None:
-        config = dataclasses.replace(config, service_max_buffer=args.max_buffer)
-    if args.journal_dir is not None:
-        config = dataclasses.replace(config, journal_dir=args.journal_dir)
-    if args.snapshot_history is not None:
-        config = dataclasses.replace(config, service_snapshot_history=args.snapshot_history)
-    if args.max_subscriptions is not None:
-        config = dataclasses.replace(config, service_max_subscriptions=args.max_subscriptions)
-    if args.no_push:
-        config = dataclasses.replace(config, service_push_notifications=False)
+    service_config = _service_config(args, config)
     data = load_dataset(args.dataset, scale=config.dataset_scale)
     if args.patterns is not None:
         with open(args.patterns, encoding="utf-8") as handle:
@@ -430,7 +433,7 @@ def _run_serve(args: argparse.Namespace, config: ExperimentConfig) -> int:
         subscriptions = [Subscription(DEFAULT_PATTERN_ID, pattern)]
 
     async def _serve() -> None:
-        service = StreamingUpdateService(ServiceConfig.from_experiment(config))
+        service = StreamingUpdateService(service_config)
         await service.register(args.dataset, data)
         for subscription in subscriptions:
             # replace=True keeps a journal-recovered subscription with
@@ -460,7 +463,7 @@ def _run_serve(args: argparse.Namespace, config: ExperimentConfig) -> int:
             f"on {host}:{port}",
             file=sys.stderr,
         )
-        if config.journal_dir:
+        if service_config.journal_dir:
             stats = service.stats(args.dataset)
             journal = stats.get("journal") or {}
             print(
@@ -566,8 +569,6 @@ def _run_replay(args: argparse.Namespace, config: ExperimentConfig) -> int:
     overrides: dict = {"mode": args.mode}
     if getattr(args, "slen_backend", "sparse") != "sparse":
         overrides["slen_backend"] = args.slen_backend
-    if getattr(args, "dense_block_size", None) is not None:
-        overrides["dense_block_size"] = args.dense_block_size
     if getattr(args, "batch_plan", None) is not None:
         overrides["batch_plan"] = args.batch_plan
     if args.patterns is not None:
@@ -653,8 +654,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         config = dataclasses.replace(config, coalesce_min_batch=args.coalesce_min_batch)
     if args.slen_backend != "sparse":
         config = dataclasses.replace(config, slen_backend=args.slen_backend)
-    if getattr(args, "dense_block_size", None) is not None:
-        config = dataclasses.replace(config, dense_block_size=args.dense_block_size)
 
     if args.command == "serve":
         return _run_serve(args, config)

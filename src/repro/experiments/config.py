@@ -8,6 +8,12 @@ down together with the datasets (DESIGN.md documents the factors):
 * ``tiny_config``   — single small cell, used by the integration tests;
 * ``quick_config``  — the default for the benchmark harness; minutes.
 * ``full_config``   — the complete grid at the larger synthetic scale.
+
+The config covers the grid and the engine settings every method shares.
+The streaming service is configured by
+:class:`~repro.service.service.ServiceConfig` alone (``ua-gpnm serve``
+builds one from its own flags plus ``batch_plan`` /
+``coalesce_min_batch`` / ``slen_backend``).
 """
 
 from __future__ import annotations
@@ -63,38 +69,6 @@ class ExperimentConfig:
     slen_backend:
         ``SLen`` storage backend for every method: ``"sparse"``,
         ``"dense"`` or ``"auto"`` (see :mod:`repro.spl.backend`).
-    dense_block_size:
-        Block edge of the blocked dense ``SLen`` layout (``None`` uses
-        :data:`repro.spl.dense.DEFAULT_DENSE_BLOCK_SIZE`); ignored when
-        the sparse backend is selected (CLI: ``--dense-block-size``).
-    service_deadline_seconds:
-        Streaming-service latency deadline: how long an accepted delta
-        may sit buffered before the service cuts the batch even though
-        the planner's coalescing crossover has not been reached (CLI:
-        ``ua-gpnm serve --deadline``).
-    service_max_buffer:
-        Streaming-service capacity backstop: the buffered batch is cut
-        unconditionally at this size (CLI: ``ua-gpnm serve
-        --max-buffer``).
-    journal_dir:
-        Directory for the streaming service's per-graph write-ahead
-        journals; ``None`` disables durability (CLI: ``ua-gpnm serve
-        --journal-dir``).
-    service_settle_retries:
-        How many times the streaming service retries a failed settle
-        (with capped exponential backoff) before bisecting the batch
-        and quarantining its poison deltas.
-    service_snapshot_history:
-        How many settled snapshot versions the streaming service
-        retains per graph for time-travel (``as_of``) reads; older
-        versions are evicted and raise ``VersionExpiredError``.
-    service_max_subscriptions:
-        Cap on standing patterns per streaming-service graph session
-        (CLI: ``ua-gpnm serve --max-subscriptions``).
-    service_push_notifications:
-        Whether streaming-service settles push per-pattern match/top-k
-        deltas to attached listeners (CLI: ``ua-gpnm serve
-        --no-push`` disables).
     """
 
     datasets: tuple[str, ...] = field(default_factory=lambda: tuple(dataset_names()))
@@ -106,15 +80,7 @@ class ExperimentConfig:
     seed: int = 2020
     coalesce_min_batch: int = DEFAULT_COALESCE_MIN_BATCH
     slen_backend: str = "sparse"
-    dense_block_size: Optional[int] = None
     batch_plan: Optional[str] = "auto"
-    service_deadline_seconds: float = 0.05
-    service_max_buffer: int = 1024
-    journal_dir: Optional[str] = None
-    service_settle_retries: int = 2
-    service_snapshot_history: int = 8
-    service_max_subscriptions: int = 64
-    service_push_notifications: bool = True
 
     def __post_init__(self) -> None:
         unknown = [m for m in self.methods if m not in METHOD_ORDER]
@@ -128,22 +94,10 @@ class ExperimentConfig:
             )
         if self.coalesce_min_batch < 0:
             raise ValueError("coalesce_min_batch must be non-negative")
-        if self.dense_block_size is not None and self.dense_block_size < 1:
-            raise ValueError("dense_block_size must be positive")
         if self.batch_plan is not None and self.batch_plan not in PLAN_CHOICES:
             raise ValueError(
                 f"unknown batch_plan {self.batch_plan!r}; expected one of {PLAN_CHOICES}"
             )
-        if self.service_deadline_seconds < 0:
-            raise ValueError("service_deadline_seconds must be non-negative")
-        if self.service_max_buffer < 1:
-            raise ValueError("service_max_buffer must be at least 1")
-        if self.service_settle_retries < 0:
-            raise ValueError("service_settle_retries must be non-negative")
-        if self.service_snapshot_history < 1:
-            raise ValueError("service_snapshot_history must be at least 1")
-        if self.service_max_subscriptions < 1:
-            raise ValueError("service_max_subscriptions must be at least 1")
 
     @property
     def number_of_cells(self) -> int:

@@ -109,7 +109,6 @@ def run_cell(
     shared_iquery: Optional[MatchResult] = None,
     coalesce_min_batch: int = DEFAULT_COALESCE_MIN_BATCH,
     slen_backend: str = "sparse",
-    dense_block_size: Optional[int] = None,
     batch_plan: Optional[str] = None,
 ) -> list[MeasurementRecord]:
     """Run every method of one grid cell and return its measurement records."""
@@ -118,12 +117,7 @@ def run_cell(
     if pattern_size is None:
         pattern_size = (pattern.number_of_nodes, pattern.number_of_edges)
     if shared_slen is None:
-        shared_slen = SLenMatrix.from_graph(
-            data,
-            horizon=SLEN_HORIZON,
-            backend=slen_backend,
-            dense_block_size=dense_block_size,
-        )
+        shared_slen = SLenMatrix.from_graph(data, horizon=SLEN_HORIZON, backend=slen_backend)
     if shared_iquery is None:
         shared_iquery = gpnm_query(pattern, data, shared_slen, enforce_totality=False)
     num_pattern_updates, num_data_updates = delta_scale
@@ -155,7 +149,6 @@ def run_cell(
             batch_plan=batch_plan,
             coalesce_min_batch=coalesce_min_batch,
             slen_backend=slen_backend,
-            dense_block_size=dense_block_size,
         )
         outcome = algorithm.subsequent_query(batch)
         started = time.perf_counter()
@@ -230,12 +223,7 @@ def run_experiment(
                     seed=config.seed + pattern_size[0],
                 )
             )
-            slen = SLenMatrix.from_graph(
-                data,
-                horizon=SLEN_HORIZON,
-                backend=config.slen_backend,
-                dense_block_size=config.dense_block_size,
-            )
+            slen = SLenMatrix.from_graph(data, horizon=SLEN_HORIZON, backend=config.slen_backend)
             iquery = gpnm_query(pattern, data, slen, enforce_totality=False)
             cache[key] = (data, pattern, slen, iquery)
         data, pattern, slen, iquery = cache[key]
@@ -265,7 +253,6 @@ def run_experiment(
                 shared_iquery=iquery,
                 coalesce_min_batch=config.coalesce_min_batch,
                 slen_backend=config.slen_backend,
-                dense_block_size=config.dense_block_size,
                 batch_plan=config.batch_plan,
             )
         )

@@ -57,7 +57,6 @@ def build_slen_partitioned(
     graph: DataGraph,
     partition: Optional[LabelPartition] = None,
     backend: str = "sparse",
-    dense_block_size: Optional[int] = None,
 ) -> SLenMatrix:
     """Build the all-pairs ``SLen`` matrix using the label partition.
 
@@ -68,10 +67,8 @@ def build_slen_partitioned(
     partition:
         A precomputed :class:`LabelPartition`; computed from ``graph``
         when omitted.
-    backend / dense_block_size:
-        Storage backend of the produced matrix and — when it resolves to
-        dense — the blocked layout's block edge (``None`` = the default;
-        see :meth:`SLenMatrix.from_rows`).
+    backend:
+        Storage backend of the produced matrix.
 
     Returns
     -------
@@ -82,9 +79,7 @@ def build_slen_partitioned(
     if partition is None:
         partition = LabelPartition.from_graph(graph)
     rows = _partitioned_rows(graph, partition, set(graph.nodes()), trusted=None)
-    return SLenMatrix.from_rows(
-        graph.nodes(), rows, backend=backend, dense_block_size=dense_block_size
-    )
+    return SLenMatrix.from_rows(graph.nodes(), rows, backend=backend)
 
 
 def partitioned_recompute_rows(

@@ -358,7 +358,6 @@ async def replay(
     key: str = "replay",
     mode: str = MODE_FAITHFUL,
     slen_backend: Optional[str] = None,
-    dense_block_size: Optional[int] = None,
     batch_plan: Optional[str] = None,
     use_partition: Optional[bool] = None,
     snapshot_history: Optional[int] = None,
@@ -404,14 +403,12 @@ async def replay(
         batch_plan=batch_plan or STRATEGY_AUTO,
         use_partition=ServiceConfig.use_partition if use_partition is None else use_partition,
         slen_backend=slen_backend or ServiceConfig.slen_backend,
-        dense_block_size=dense_block_size,
         snapshot_history=snapshot_history,
         push_notifications=False,
     )
     overrides = {
         "mode": mode,
         "slen_backend": config.slen_backend,
-        "dense_block_size": config.dense_block_size,
         "batch_plan": config.batch_plan,
         "use_partition": config.use_partition,
         "snapshot_history": config.snapshot_history,

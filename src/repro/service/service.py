@@ -189,8 +189,8 @@ class ServiceConfig:
     use_partition:
         Whether the default algorithm factory builds UA-GPNM with the
         label partition (Section V).
-    slen_backend / dense_block_size:
-        ``SLen`` storage knobs, passed through to the algorithm.
+    slen_backend:
+        ``SLen`` storage backend, passed through to the algorithm.
     journal_dir:
         Directory for per-graph write-ahead journals.  ``None`` (the
         default) disables durability: accepted-but-unsettled deltas die
@@ -231,7 +231,6 @@ class ServiceConfig:
     batch_plan: str = STRATEGY_AUTO
     use_partition: bool = True
     slen_backend: str = "sparse"
-    dense_block_size: Optional[int] = None
     journal_dir: Optional[str] = None
     journal_compact_bytes: int = DEFAULT_COMPACT_BYTES
     settle_retries: int = 2
@@ -262,23 +261,6 @@ class ServiceConfig:
             raise ValueError("snapshot_history must retain at least one version")
         if self.max_subscriptions < 1:
             raise ValueError("max_subscriptions must allow at least one pattern")
-
-    @classmethod
-    def from_experiment(cls, config) -> "ServiceConfig":
-        """Derive service tunables from an ``ExperimentConfig``."""
-        return cls(
-            deadline_seconds=config.service_deadline_seconds,
-            max_buffer=config.service_max_buffer,
-            coalesce_min_batch=config.coalesce_min_batch,
-            batch_plan=config.batch_plan or STRATEGY_AUTO,
-            slen_backend=config.slen_backend,
-            dense_block_size=config.dense_block_size,
-            journal_dir=config.journal_dir,
-            settle_retries=config.service_settle_retries,
-            snapshot_history=config.service_snapshot_history,
-            max_subscriptions=config.service_max_subscriptions,
-            push_notifications=config.service_push_notifications,
-        )
 
 
 @dataclass(frozen=True)
@@ -482,7 +464,6 @@ def default_algorithm_factory(data: DataGraph, config: ServiceConfig) -> GPNMAlg
         batch_plan=config.batch_plan,
         coalesce_min_batch=config.coalesce_min_batch,
         slen_backend=config.slen_backend,
-        dense_block_size=config.dense_block_size,
     )
 
 

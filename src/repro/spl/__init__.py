@@ -12,7 +12,8 @@ data graph (the paper's ``SLen`` matrix).  This package provides:
   a lazily-allocated block grid (all-``INF`` blocks elided, so memory
   scales with occupied blocks rather than |V|²) with vectorized
   construction (bit-packed BFS frontiers), insertion, deletion and
-  matching kernels; the block edge is the ``dense_block_size`` knob;
+  matching kernels; the block edge is fixed at 512 unless a matrix is
+  built with ``dense_block_size`` (tests use small blocks);
 * :mod:`repro.spl.incremental` — maintenance of ``SLen`` under the update
   vocabulary of Section III-C, producing the affected-pair sets (``AFF``)
   that drive elimination detection;

@@ -38,7 +38,8 @@ Two backends ship with the repository:
     block-gather matching kernel behind :meth:`SLenBackend.
     sources_within`).  Memory scales with the *occupied* blocks, which
     is what lets the dense backend handle graphs past ~10⁴ nodes; the
-    block edge is the ``dense_block_size`` knob.
+    block edge defaults to 512 (``dense_block_size`` on
+    :class:`~repro.spl.matrix.SLenMatrix` overrides it per matrix).
 
 ``auto``
     Resolved at construction time: dense for graphs with at least

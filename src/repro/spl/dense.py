@@ -15,10 +15,10 @@ finite entries but pays per-entry interpreter overhead on every kernel,
 while the blocked layout pays (at most) a block-granular memory premium
 for vectorized kernels.  The ``auto`` selection policy
 (:func:`repro.spl.backend.resolve_backend_name`) arbitrates via a
-node-count threshold; :data:`DEFAULT_DENSE_BLOCK_SIZE` (overridable per
-matrix via the ``dense_block_size`` knob threaded through
-:class:`~repro.spl.matrix.SLenMatrix`, ``ExperimentConfig`` and
-``ua-gpnm --dense-block-size``) sets the block edge.
+node-count threshold; :data:`DEFAULT_DENSE_BLOCK_SIZE` sets the block
+edge (a matrix built directly through
+:class:`~repro.spl.matrix.SLenMatrix` may pass ``dense_block_size``,
+which tests use to force multi-block grids on small graphs).
 
 The hot maintenance kernels are vectorized and block-aware:
 
@@ -26,10 +26,7 @@ The hot maintenance kernels are vectorized and block-aware:
   words**: sources are processed in block-row stripes, each stripe's
   frontier is packed 64 sources per ``np.uint64`` word, and one level of
   expansion is a CSR predecessor gather followed by a
-  ``bitwise_or.reduceat`` over the words (8× less memory traffic than
-  the PR-2 boolean-frontier kernel, which survives as the
-  ``"boolean"`` frontier mode for differential testing and the
-  benchmark's speedup row);
+  ``bitwise_or.reduceat`` over the words;
 * **single-edge insertion** — the rank-1 relaxation
   ``d'(x, y) = min(d(x, y), d(x, u) + 1 + d(v, y))`` restricted to the
   finite column of ``u`` × the finite row of ``v`` and gathered /
@@ -87,18 +84,12 @@ SENTINEL: int = 2**29
 #: unreachable regions are never allocated.
 DEFAULT_DENSE_BLOCK_SIZE: int = 512
 
-#: Multi-source BFS frontier representations: ``"bitset"`` packs 64
-#: sources per ``uint64`` word (the default); ``"boolean"`` is the PR-2
-#: one-byte-per-source kernel, kept as the differential reference and
-#: the baseline of the benchmark's construction-speedup row.
-FRONTIER_MODES: tuple[str, ...] = ("bitset", "boolean")
-
 
 def _segment_reduce(values, segment_starts, segment_empty, ufunc, fill, axis=1):
     """Per-segment ``ufunc`` reduction of ``values`` along ``axis``.
 
     ``segment_starts``/``segment_empty`` describe CSR-style segments of
-    the gathered axis (axis 1 for the min-plus/boolean kernels, axis 0
+    the gathered axis (axis 1 for the min-plus kernels, axis 0
     for the bit-packed frontier expansion, which gathers whole
     word-rows per predecessor).  Empty segments yield ``fill``.
     Implemented via ``ufunc.reduceat`` over the non-empty segments only
@@ -128,13 +119,11 @@ def _segment_reduce(values, segment_starts, segment_empty, ufunc, fill, axis=1):
 class DenseSLenBackend(SLenBackend):
     """Blocked ``int32`` all-pairs grid with vectorized kernels.
 
-    ``block_size`` fixes the block edge; ``frontier_mode`` selects the
-    multi-source BFS frontier representation (see
-    :data:`FRONTIER_MODES`).  Storage invariants: entries of free or
-    padding slots are always :data:`SENTINEL`, a block absent from the
-    grid is all-:data:`SENTINEL` by definition, and every occupied
-    slot's diagonal entry is ``0`` (so the diagonal blocks of occupied
-    block-rows are always allocated).
+    ``block_size`` fixes the block edge.  Storage invariants: entries
+    of free or padding slots are always :data:`SENTINEL`, a block absent
+    from the grid is all-:data:`SENTINEL` by definition, and every
+    occupied slot's diagonal entry is ``0`` (so the diagonal blocks of
+    occupied block-rows are always allocated).
     """
 
     name = "dense"
@@ -142,7 +131,6 @@ class DenseSLenBackend(SLenBackend):
     __slots__ = (
         "horizon",
         "block_size",
-        "frontier_mode",
         "_index",
         "_slots",
         "_free",
@@ -157,18 +145,12 @@ class DenseSLenBackend(SLenBackend):
         nodes: Iterable[NodeId] = (),
         horizon: float = INF,
         block_size: int = DEFAULT_DENSE_BLOCK_SIZE,
-        frontier_mode: str = "bitset",
     ) -> None:
         """Create an identity matrix (diagonal 0) over ``nodes``."""
         if block_size < 1:
             raise ValueError("dense block size must be positive")
-        if frontier_mode not in FRONTIER_MODES:
-            raise ValueError(
-                f"unknown frontier mode {frontier_mode!r}; expected one of {FRONTIER_MODES}"
-            )
         self.horizon = horizon
         self.block_size = int(block_size)
-        self.frontier_mode = frontier_mode
         order = list(dict.fromkeys(nodes))
         #: node -> slot (logical row/column position in the block grid)
         self._index: dict[NodeId, int] = {node: slot for slot, node in enumerate(order)}
@@ -541,11 +523,7 @@ class DenseSLenBackend(SLenBackend):
 
     def copy(self) -> "DenseSLenBackend":
         """An independent deep copy (same block size and horizon)."""
-        clone = DenseSLenBackend(
-            horizon=self.horizon,
-            block_size=self.block_size,
-            frontier_mode=self.frontier_mode,
-        )
+        clone = DenseSLenBackend(horizon=self.horizon, block_size=self.block_size)
         clone._index = dict(self._index)
         clone._slots = list(self._slots)
         clone._free = list(self._free)
@@ -565,11 +543,7 @@ class DenseSLenBackend(SLenBackend):
         :mod:`repro.versioning`.  Caches are not shared; the fork
         starts with cold row/CSR caches.
         """
-        clone = DenseSLenBackend(
-            horizon=self.horizon,
-            block_size=self.block_size,
-            frontier_mode=self.frontier_mode,
-        )
+        clone = DenseSLenBackend(horizon=self.horizon, block_size=self.block_size)
         clone._index = dict(self._index)
         clone._slots = list(self._slots)
         clone._free = list(self._free)
@@ -638,32 +612,19 @@ class DenseSLenBackend(SLenBackend):
         return csr
 
     # ------------------------------------------------------------------
-    # Multi-source BFS kernels
+    # Multi-source BFS kernel
     # ------------------------------------------------------------------
     def _bfs_rows(
         self, graph: DataGraph, source_slots: np.ndarray, hcap: Optional[int]
     ) -> np.ndarray:
         """BFS level rows (len(source_slots), padded capacity) from each source.
 
-        Dispatches on :attr:`frontier_mode`; both representations
-        compute identical levels (a differential test pins this).
-        """
-        if self.frontier_mode == "boolean":
-            return self._bfs_rows_boolean(graph, source_slots, hcap)
-        return self._bfs_rows_bitset(graph, source_slots, hcap)
-
-    def _bfs_rows_bitset(
-        self, graph: DataGraph, source_slots: np.ndarray, hcap: Optional[int]
-    ) -> np.ndarray:
-        """Bit-packed multi-source BFS: 64 sources per ``uint64`` word.
-
-        The frontier and visited sets are (capacity, words) ``uint64``
-        arrays whose bit ``b`` of word ``w`` belongs to source
+        Bit-packed: the frontier and visited sets are (capacity, words)
+        ``uint64`` arrays whose bit ``b`` of word ``w`` belongs to source
         ``64 w + b``.  One expansion level is a CSR predecessor gather
-        plus ``bitwise_or.reduceat`` over whole words — no per-source
-        popcounts, and 8× less memory traffic than the boolean kernel.
-        Levels are committed into the int32 result via one unpack per
-        level.
+        plus ``bitwise_or.reduceat`` over whole words, with no
+        per-source popcounts.  Levels are committed into the int32
+        result via one unpack per level.
         """
         k = len(source_slots)
         capacity = self._padded_capacity
@@ -705,44 +666,6 @@ class DenseSLenBackend(SLenBackend):
             ).view(np.bool_)
             hit_rows, hit_sources = np.nonzero(mask)
             levels[hit_sources, active[hit_rows]] = level
-            frontier = newly
-        return levels
-
-    def _bfs_rows_boolean(
-        self, graph: DataGraph, source_slots: np.ndarray, hcap: Optional[int]
-    ) -> np.ndarray:
-        """Boolean-frontier multi-source BFS (the PR-2 reference kernel).
-
-        One byte per (source, node) frontier cell, expanded through a
-        CSR predecessor gather + ``logical_or.reduceat``.  Retained as
-        the differential reference for the bit-packed kernel and as the
-        baseline of the benchmark's construction-speedup row.
-        """
-        k = len(source_slots)
-        capacity = self._padded_capacity
-        levels = np.full((k, capacity), SENTINEL, dtype=np.int32)
-        if k == 0:
-            return levels
-        source_slots = np.asarray(source_slots, dtype=np.int64)
-        rows = np.arange(k)
-        levels[rows, source_slots] = 0
-        indptr, indices, empty = self._pred_csr(graph)
-        if indices.size == 0:
-            return levels
-        frontier = np.zeros((k, capacity), dtype=bool)
-        frontier[rows, source_slots] = True
-        level = 0
-        while frontier.any():
-            if hcap is not None and level >= hcap:
-                break
-            level += 1
-            reached = _segment_reduce(
-                frontier[:, indices], indptr[:-1], empty, np.logical_or, False
-            )
-            newly = reached & (levels >= SENTINEL)
-            if not newly.any():
-                break
-            levels[newly] = level
             frontier = newly
         return levels
 

@@ -17,7 +17,8 @@ so its storage is *pluggable* (:mod:`repro.spl.backend`):
     so memory scales with the occupied blocks rather than |V|², plus
     vectorized construction, insertion, deletion and matching kernels
     that replace per-entry interpreter overhead with array operations.
-    The block edge is the ``dense_block_size`` knob.
+    The block edge defaults to 512; the constructors' ``dense_block_size``
+    argument overrides it per matrix.
 
 ``auto``
     Dense at or above

@@ -447,22 +447,21 @@ class TestBlockedLayout:
         assert dense == SLenMatrix.from_graph(graph, backend="sparse")
 
     @pytest.mark.parametrize("horizon", (INF, 3))
-    def test_bitset_matches_boolean_frontier(self, horizon):
-        """The bit-packed BFS is a drop-in for the boolean reference."""
+    def test_bitset_bfs_matches_sparse_reference(self, horizon):
+        """The bit-packed BFS agrees with the sparse per-source BFS."""
         graph = make_random_graph(num_nodes=45, num_edges=140, seed=63)
         bitset = SLenMatrix(graph.nodes(), horizon=horizon, backend="dense", dense_block_size=16)
         bitset.backend.build(graph)
-        boolean = SLenMatrix(graph.nodes(), horizon=horizon, backend="dense", dense_block_size=16)
-        boolean.backend.frontier_mode = "boolean"
-        boolean.backend.build(graph)
-        assert bitset == boolean
-        # recompute_rows dispatches through the same kernels.
+        sparse = SLenMatrix(graph.nodes(), horizon=horizon, backend="sparse")
+        sparse.backend.build(graph)
+        assert bitset == sparse
+        # recompute_rows runs the same kernel.
         if not graph.has_edge("n0", "n40"):
             graph.add_edge("n0", "n40")
         changed_bitset = bitset.recompute_rows(graph, ["n0", "n1", "n17"])
-        changed_boolean = boolean.recompute_rows(graph, ["n0", "n1", "n17"])
-        assert changed_bitset == changed_boolean
-        assert bitset == boolean
+        changed_sparse = sparse.recompute_rows(graph, ["n0", "n1", "n17"])
+        assert changed_bitset == changed_sparse
+        assert bitset == sparse
 
     def test_block_size_knob_threading(self):
         graph = make_random_graph(seed=64)
@@ -472,12 +471,6 @@ class TestBlockedLayout:
         converted = SLenMatrix.from_graph(graph).to_backend("dense", dense_block_size=16)
         assert converted.backend.block_size == 16
         assert converted == dense
-        from repro.experiments.config import ExperimentConfig
-
-        config = ExperimentConfig(dense_block_size=64)
-        assert config.dense_block_size == 64
-        with pytest.raises(ValueError):
-            ExperimentConfig(dense_block_size=0)
         with pytest.raises(ValueError):
             SLenMatrix.from_graph(graph, backend="dense", dense_block_size=-1)
 

@@ -2,8 +2,8 @@
 
 ``to_backend`` used to return a plain copy whenever the requested
 backend matched the current one — silently ignoring a *different*
-requested ``dense_block_size``.  ``from_rows`` used to drop the knob
-entirely, so the partition layer could never propagate it.
+requested ``dense_block_size``.  ``from_rows`` used to drop the block
+size entirely.
 """
 
 from repro.graph import DataGraph
@@ -54,15 +54,3 @@ def test_from_rows_propagates_dense_block_size():
     assert getattr(rebuilt._backend, "block_size") == 4
     assert rebuilt == source
 
-
-def test_build_slen_partitioned_honours_dense_block_size():
-    from repro.partition.label_partition import LabelPartition
-    from repro.partition.partitioned_spl import build_slen_partitioned
-
-    graph = ring_graph()
-    partition = LabelPartition.from_graph(graph)
-    matrix = build_slen_partitioned(
-        graph, partition, backend="dense", dense_block_size=4
-    )
-    assert getattr(matrix._backend, "block_size") == 4
-    assert matrix == SLenMatrix.from_graph(graph)

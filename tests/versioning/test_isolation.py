@@ -17,7 +17,9 @@ import threading
 
 import pytest
 
+from repro.algorithms.ua_gpnm import UAGPNM
 from repro.graph.digraph import DataGraph
+from repro.graph.pattern import PatternGraph
 from repro.matching.gpnm import gpnm_query
 from repro.service import ServiceConfig, StreamingUpdateService
 from repro.spl.matrix import SLenMatrix
@@ -50,9 +52,8 @@ def test_seed_derivation_contract_is_pinned():
     seeds = {case_seed(case, role) for case in CASES for role in roles}
     assert len(seeds) == len(CASES) * len(roles)  # cases are independent
 
-#: Settle after every payload (deadline 0 cuts the buffer on submit),
-#: keep all versions retained for the post-hoc sweep, and store SLen in
-#: small dense blocks so copy-on-write sharing is actually exercised.
+#: Settle after every payload (deadline 0 cuts the buffer on submit) and
+#: keep all versions retained for the post-hoc sweep.
 def stress_config(history: int = 64) -> ServiceConfig:
     """Service config for the isolation scenarios."""
     return ServiceConfig(
@@ -60,8 +61,21 @@ def stress_config(history: int = 64) -> ServiceConfig:
         max_buffer=4096,
         coalesce_min_batch=10_000,
         slen_backend="dense",
-        dense_block_size=8,
         snapshot_history=history,
+    )
+
+
+def blocked_engine(data: DataGraph, config: ServiceConfig) -> UAGPNM:
+    """The stock engine over SLen in 8-wide dense blocks, so the small
+    test graphs span several blocks and copy-on-write sharing is
+    actually exercised (also on the service's rebuild path)."""
+    return UAGPNM(
+        PatternGraph(),
+        data,
+        use_partition=config.use_partition,
+        batch_plan=config.batch_plan,
+        coalesce_min_batch=config.coalesce_min_batch,
+        precomputed_slen=SLenMatrix.from_graph(data, backend="dense", dense_block_size=8),
     )
 
 
@@ -149,8 +163,9 @@ def test_concurrent_readers_always_see_a_consistent_version(case):
             base, rng, count=6, node_churn=case % 2 == 0
         )
 
-        service = StreamingUpdateService(stress_config())
+        service = StreamingUpdateService(stress_config(), algorithm_factory=blocked_engine)
         await register_default(service, "g", pattern, base)
+        assert service.snapshot("g").slen.backend.block_size == 8
 
         pinned: list = []
         errors: list[BaseException] = []
@@ -222,7 +237,9 @@ def test_pinned_handle_outlives_history_eviction():
     async def scenario():
         base = make_random_graph(num_nodes=16, num_edges=40, seed=99)
         pattern = make_random_pattern(seed=99)
-        service = StreamingUpdateService(stress_config(history=3))
+        service = StreamingUpdateService(
+            stress_config(history=3), algorithm_factory=blocked_engine
+        )
         await register_default(service, "g", pattern, base)
 
         pinned_base = service.pin("g", 0)
@@ -256,7 +273,7 @@ def test_reader_pin_is_wait_free_during_a_slow_settle():
     async def scenario():
         base = make_random_graph(num_nodes=16, num_edges=40, seed=7)
         pattern = make_random_pattern(seed=7)
-        service = StreamingUpdateService(stress_config())
+        service = StreamingUpdateService(stress_config(), algorithm_factory=blocked_engine)
         await register_default(service, "g", pattern, base)
 
         payloads, states = random_payloads(base, random.Random(7), 1, False)
